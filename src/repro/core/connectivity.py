@@ -21,7 +21,7 @@ at most twice the optimal edge count ``⌈Σρ/2⌉``.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.ncc.config import Variant
@@ -38,7 +38,7 @@ from repro.core.result import (
 from repro.primitives.bbst import build_indexed_path
 from repro.primitives.broadcast import global_aggregate, global_broadcast
 from repro.primitives.path_ops import build_undirected_path
-from repro.primitives.protocol import Proto, fresh_ns, ns_state, run_protocol, take
+from repro.primitives.protocol import Proto, arrivals, fresh_ns, ns_state, run_protocol
 from repro.primitives.sorting import distributed_sort
 
 
@@ -174,7 +174,8 @@ def connectivity_ncc0_protocol(
     # the edge and reply with their own IDs (explicitness).
     tag, reply_tag = f"{srt_ns}:flood", f"{srt_ns}:intro"
     share = max(1, net.send_cap // 3)
-    queues: Dict[int, deque] = {v: deque() for v in net.node_ids}
+    rank = net.node_index
+    queues: Dict[int, deque] = defaultdict(deque)  # busy nodes only
     introductions = 0
     expected = 0
     for pos in range(head_count, n):
@@ -187,21 +188,22 @@ def connectivity_ncc0_protocol(
     limit = 8 * (n + expected + 8)
     while introductions < expected:
         sends = []
-        for v in net.node_ids:
+        for v in sorted(queues, key=rank.__getitem__):
             queue = queues[v]
-            state = ns_state(net, v, srt_ns)
-            pred = state.get("pred")
+            pred = ns_state(net, v, srt_ns).get("pred")
+            if pred is None:
+                raise ProtocolError("flood fell off the path head")
             for _ in range(min(len(queue), share)):
                 origin, ttl = queue.popleft()
-                if pred is None:
-                    raise ProtocolError("flood fell off the path head")
                 sends.append((v, pred, msg(tag, ids=(origin,), data=(ttl,))))
+            if not queue:
+                del queues[v]
         if not sends and introductions < expected:
             raise ProtocolError("predecessor flood stalled")
         inboxes = yield sends
         reply_sends = []
-        for v in net.node_ids:
-            for message in take(inboxes, v, tag):
+        for v, messages in arrivals(inboxes, tag, rank):
+            for message in messages:
                 origin, ttl = message.ids[0], message.data[0]
                 record_edge(net, v, origin)
                 reply_sends.append((v, origin, msg(reply_tag, ids=(v,))))
@@ -209,8 +211,8 @@ def connectivity_ncc0_protocol(
                     queues[v].append((origin, ttl - 1))
         if reply_sends:
             inboxes = yield reply_sends
-            for v in net.node_ids:
-                for message in take(inboxes, v, reply_tag):
+            for v, messages in arrivals(inboxes, reply_tag, rank):
+                for message in messages:
                     record_edge(net, v, message.ids[0])
                     introductions += 1
         guard += 1

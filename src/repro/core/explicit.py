@@ -37,7 +37,7 @@ from repro.primitives.bbst import build_indexed_path
 from repro.primitives.butterfly import ColGroup
 from repro.primitives.groups import token_collect
 from repro.primitives.path_ops import build_undirected_path
-from repro.primitives.protocol import Proto, fresh_ns, ns_state, run_protocol, take
+from repro.primitives.protocol import Proto, arrivals, fresh_ns, run_protocol
 
 
 def explicit_conversion_protocol(net: Network, method: str = "collection") -> Proto:
@@ -90,21 +90,18 @@ def explicit_conversion_protocol(net: Network, method: str = "collection") -> Pr
             for u in holders:
                 r = net.rng.randrange(window)
                 schedule.setdefault(r, []).append((u, target))
+        rank = net.node_index
         done = 0
-        for r in range(window):
+        step = 0
+        while step < window or done < total:
             sends = [
                 (u, target, msg(tag, ids=(u,)))
-                for (u, target) in schedule.get(r, ())
+                for (u, target) in schedule.get(step, ())
             ]
+            step += 1
             inboxes = yield sends
-            for v in net.node_ids:
-                for message in take(inboxes, v, tag):
-                    record_edge(net, v, message.ids[0])
-                    done += 1
-        while done < total:
-            inboxes = yield []
-            for v in net.node_ids:
-                for message in take(inboxes, v, tag):
+            for v, messages in arrivals(inboxes, tag, rank):
+                for message in messages:
                     record_edge(net, v, message.ids[0])
                     done += 1
         return total

@@ -14,7 +14,8 @@ can use arrays internally.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 
 class IdSpace:
@@ -52,15 +53,20 @@ class IdSpace:
             ids = rng.sample(range(1, self.universe + 1), n)
         else:
             ids = list(range(1, n + 1))
-        self._ids: list[int] = ids
+        self._ids: tuple[int, ...] = tuple(ids)
         self._index_of: dict[int, int] = {node_id: i for i, node_id in enumerate(ids)}
         if len(self._index_of) != n:
             raise ValueError("duplicate IDs generated (internal error)")
 
     @property
     def ids(self) -> Sequence[int]:
-        """All node IDs, ordered by simulator index."""
-        return tuple(self._ids)
+        """All node IDs, ordered by simulator index (one shared tuple)."""
+        return self._ids
+
+    @property
+    def index(self) -> Mapping[int, int]:
+        """Read-only ``{node_id: index}`` map (the inverse of :attr:`ids`)."""
+        return MappingProxyType(self._index_of)
 
     def id_of(self, index: int) -> int:
         """ID of the node at bookkeeping position ``index`` (0-based)."""

@@ -34,7 +34,17 @@ import random
 import time
 from collections import defaultdict, deque
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.ncc.config import DEFAULT_CONFIG, NCCConfig, Variant
 from repro.ncc.engine import make_engine
@@ -291,6 +301,15 @@ class Network:
     def node_ids(self) -> Sequence[int]:
         """All node IDs in simulator index order (== initial path order)."""
         return self.ids.ids
+
+    @property
+    def node_index(self) -> Mapping[int, int]:
+        """Read-only ``{node_id: simulator index}`` map.
+
+        Round loops use it to visit a round's receivers or busy nodes in
+        :attr:`node_ids` order without scanning all ``n`` nodes.
+        """
+        return self.ids.index
 
     def __len__(self) -> int:
         return self.n

@@ -48,8 +48,11 @@ def build_warmup_binary_tree(net: Network, ns: Optional[str] = None) -> Proto:
     ns_state(net, root, ns)["is_head"] = True
     max_levels = math.ceil(math.log2(max(2, net.n))) + 2
 
+    # Nodes only ever retire, so each level filters the previous level's
+    # active list (node order) instead of rescanning every node.
+    active = list(net.node_ids)
     for _level in range(max_levels):
-        active = [v for v in net.node_ids if not ns_state(net, v, ns)["done"]]
+        active = [v for v in active if not ns_state(net, v, ns)["done"]]
         if not active:
             break
 
@@ -107,7 +110,7 @@ def build_warmup_binary_tree(net: Network, ns: Optional[str] = None) -> Proto:
                 state["pred"] = None  # adopted nodes head their sub-paths
                 state["is_head"] = True
 
-    leftovers = [v for v in net.node_ids if not ns_state(net, v, ns)["done"]]
+    leftovers = [v for v in active if not ns_state(net, v, ns)["done"]]
     if leftovers:
         raise ProtocolError(f"warm-up tree did not converge: {leftovers[:5]}")
     return root

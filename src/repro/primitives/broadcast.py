@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 from repro.ncc.errors import ProtocolError
 from repro.ncc.message import msg
 from repro.ncc.network import Network
-from repro.primitives.protocol import Proto, ns_state, take, take_one
+from repro.primitives.protocol import Proto, arrivals, ns_state, take_one
 from repro.primitives.traversal import broadcast_from_root
 
 
@@ -65,6 +65,8 @@ def global_aggregate(
     The result is returned and stored at the leader under ``key``.
     ``O(log n)`` rounds over the tree.
     """
+    rank = {v: i for i, v in enumerate(members)}
+    tag = f"{ns}:agg"
     pending = {}
     ready = []
     for v in members:
@@ -84,16 +86,16 @@ def global_aggregate(
             parent = state.get("parent")
             done += 1
             if parent is not None:
-                sends.append((v, parent, msg(f"{ns}:agg", data=(state["agg_acc"],))))
+                sends.append((v, parent, msg(tag, data=(state["agg_acc"],))))
             else:
                 result = state["agg_acc"]
         ready = []
         if done >= len(members) and not sends:
             break
         inboxes = yield sends
-        for v in members:
-            for report in take(inboxes, v, f"{ns}:agg"):
-                state = ns_state(net, v, ns)
+        for v, reports in arrivals(inboxes, tag, rank):
+            state = ns_state(net, v, ns)
+            for report in reports:
                 state["agg_acc"] = combine(state["agg_acc"], report.data[0])
                 pending[v] -= 1
                 if pending[v] == 0:

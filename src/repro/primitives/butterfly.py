@@ -25,19 +25,29 @@ Dimension-ordered paths into one row form a tree, so
   trees), then floods the source token down the recorded tree;
 * **token collection** pipelines tokens to the rendezvous and streams
   them to the destination under a per-destination rate share.
+
+Round loops follow the receiver-driven rule of
+:mod:`repro.primitives.protocol`: they visit receivers and busy nodes,
+never all ``n``.  A node has a queue only while it holds work; each
+round the busy nodes send in node order and :func:`arrivals` hands over
+the receivers in node order, so every plan equals that of a full node
+scan while a round costs ``O(messages)``.  The routing decisions
+(:meth:`ButterflyEmulation.rendezvous_row` and
+:meth:`ButterflyEmulation.next_hop`) are pure functions of a group ID and
+a node's position and pointers, so each emulation memoizes them.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from collections import defaultdict, deque
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.ncc.errors import ProtocolError
 from repro.ncc.message import msg
 from repro.ncc.network import Network
-from repro.primitives.protocol import Proto, ns_state, take
+from repro.primitives.protocol import Proto, arrivals, ns_state
 
 #: Aggregate operator codes carried in packets (one word).
 OPS: Dict[str, Callable[[int, int], int]] = {
@@ -120,6 +130,8 @@ class ButterflyEmulation:
                 )
             self._pos[v] = pos
             self._by_pos[pos] = v
+        self._rows: Dict[int, int] = {}
+        self._hops: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
 
     # ------------------------------------------------------------------ #
     # Wiring helpers (node-local decisions)                              #
@@ -127,35 +139,49 @@ class ButterflyEmulation:
 
     def rendezvous_row(self, gid: int) -> int:
         """Shared hash: the subcube row where group ``gid`` meets."""
+        row = self._rows.get(gid)
+        if row is not None:
+            return row
         if self.k == 0:
-            return 0
-        x = (gid * 0x9E3779B97F4A7C15 + (self.net.config.seed << 17) + 0x85EBCA6B) & (
-            (1 << 61) - 1
-        )
-        x ^= x >> 29
-        return x % (1 << self.k)
+            row = 0
+        else:
+            x = (
+                gid * 0x9E3779B97F4A7C15 + (self.net.config.seed << 17) + 0x85EBCA6B
+            ) & ((1 << 61) - 1)
+            x ^= x >> 29
+            row = x % (1 << self.k)
+        self._rows[gid] = row
+        return row
 
     def next_hop(self, v: int, target_row: int) -> Optional[Tuple[int, int]]:
         """``(neighbor_id, dim)`` for the next bit-fixing hop, or ``None``.
 
         Node-local: uses only ``v``'s position and its 𝓛 pointers.
         """
+        key = (v, target_row)
+        try:
+            return self._hops[key]
+        except KeyError:
+            pass
         p = self._pos[v]
         if p == target_row:
-            return None
-        if p >= (1 << self.k):
-            dim = p.bit_length() - 1  # clear the highest bit: descend
+            hop = None
         else:
-            diff = p ^ target_row
-            dim = (diff & -diff).bit_length() - 1  # lowest differing bit
-        q = p ^ (1 << dim)
-        pointer = f"ls{dim}" if q > p else f"lp{dim}"
-        neighbor = ns_state(self.net, v, self.ns).get(pointer)
-        if neighbor is None:
-            raise ProtocolError(
-                f"missing 𝓛 pointer {pointer} at position {p} (target {target_row})"
-            )
-        return neighbor, dim
+            if p >= (1 << self.k):
+                dim = p.bit_length() - 1  # clear the highest bit: descend
+            else:
+                diff = p ^ target_row
+                dim = (diff & -diff).bit_length() - 1  # lowest differing bit
+            q = p ^ (1 << dim)
+            pointer = f"ls{dim}" if q > p else f"lp{dim}"
+            neighbor = ns_state(self.net, v, self.ns).get(pointer)
+            if neighbor is None:
+                raise ProtocolError(
+                    f"missing 𝓛 pointer {pointer} at position {p} (target {target_row})"
+                )
+            hop = (neighbor, dim)
+        self._hops[key] = hop
+        return hop
 
     # ------------------------------------------------------------------ #
     # Aggregation (Theorem 6)                                            #
@@ -170,32 +196,25 @@ class ButterflyEmulation:
         group's destination.
         """
         net, ns = self.net, self.ns
+        rank = net.node_index
         tag = f"{ns}:bfa"
         fin = f"{ns}:bfafin"
         ops = {g.gid: g.op for g in groups}
         dests = {g.gid: g.dest for g in groups}
         expected: Dict[int, int] = {g.gid: len(g.members) for g in groups}
 
-        # queue entries: gid -> (value, count) waiting at node
-        queues: Dict[int, Dict[int, Tuple[int, int]]] = {
-            v: {} for v in net.node_ids
-        }
+        # Busy nodes only: node -> {gid: (value, count)} waiting there.
+        queues: Dict[int, Dict[int, Tuple[int, int]]] = defaultdict(dict)
         acc: Dict[int, Tuple[int, int]] = {}  # gid -> (value, count) at rendezvous
 
         def enqueue(v: int, gid: int, value: int, count: int) -> None:
             op = OPS[ops[gid]]
-            if self._pos[v] == self.rendezvous_row(gid):
-                if gid in acc:
-                    old_v, old_c = acc[gid]
-                    acc[gid] = (op(old_v, value), old_c + count)
-                else:
-                    acc[gid] = (value, count)
-                return
-            if gid in queues[v]:
-                old_v, old_c = queues[v][gid]
-                queues[v][gid] = (op(old_v, value), old_c + count)
+            held = acc if self._pos[v] == self.rendezvous_row(gid) else queues[v]
+            if gid in held:
+                old_v, old_c = held[gid]
+                held[gid] = (op(old_v, value), old_c + count)
             else:
-                queues[v][gid] = (value, count)
+                held[gid] = (value, count)
 
         for group in groups:
             for v, value in group.members.items():
@@ -208,12 +227,11 @@ class ButterflyEmulation:
         while len(results) < len(groups):
             sends = []
             # Forward: one packet per dimension edge per node per round.
-            for v in net.node_ids:
-                if not queues[v]:
-                    continue
+            for v in sorted(queues, key=rank.__getitem__):
+                queue = queues[v]
                 used_dims: Set[int] = set()
                 sent_gids: List[int] = []
-                for gid, (value, count) in queues[v].items():
+                for gid, (value, count) in queue.items():
                     hop = self.next_hop(v, self.rendezvous_row(gid))
                     if hop is None:  # pragma: no cover - enqueue handles this
                         continue
@@ -234,7 +252,9 @@ class ButterflyEmulation:
                         )
                     )
                 for gid in sent_gids:
-                    del queues[v][gid]
+                    del queue[gid]
+                if not queue:
+                    del queues[v]
             # Rendezvous rows with complete accumulators report out.
             ready = [
                 gid
@@ -258,11 +278,12 @@ class ButterflyEmulation:
             if len(results) == len(groups):
                 break
             inboxes = yield sends
-            for v in net.node_ids:
-                for message in take(inboxes, v, tag):
+            for v, messages in arrivals(inboxes, tag, rank):
+                for message in messages:
                     gid, value, count, _op_code = message.data
                     enqueue(v, gid, value, count)
-                for message in take(inboxes, v, fin):
+            for v, messages in arrivals(inboxes, fin, rank):
+                for message in messages:
                     gid, value = message.data
                     ns_state(net, v, ns)[f"agg:{gid}"] = value
                     results[gid] = value
@@ -282,22 +303,20 @@ class ButterflyEmulation:
         total number of member deliveries.
         """
         net, ns = self.net, self.ns
+        rank = net.node_index
         join_tag, tok_tag = f"{ns}:bfj", f"{ns}:bft"
-        group_by_gid = {g.gid: g for g in groups}
 
         # join_state[v][gid] = set of child node ids (reverse-path tree).
-        join_state: Dict[int, Dict[int, Set[int]]] = {v: {} for v in net.node_ids}
-        member_flag: Dict[int, Set[int]] = {v: set() for v in net.node_ids}
+        join_state: Dict[int, Dict[int, Set[int]]] = defaultdict(dict)
+        member_flag: Dict[int, Set[int]] = defaultdict(set)
 
-        # Phase 1: joins ascend to the rendezvous.
-        join_queue: Dict[int, deque] = {v: deque() for v in net.node_ids}
-        pending_roots: Set[int] = set()
+        # Phase 1: joins ascend to the rendezvous.  Queues of busy nodes only.
+        join_queue: Dict[int, deque] = defaultdict(deque)
         for group in groups:
             for v in group.members:
                 member_flag[v].add(group.gid)
                 if self._pos[v] == self.rendezvous_row(group.gid):
                     join_state[v].setdefault(group.gid, set())
-                    pending_roots.add(group.gid)
                 elif group.gid not in join_state[v]:
                     join_state[v].setdefault(group.gid, set())
                     join_queue[v].append(group.gid)
@@ -307,11 +326,12 @@ class ButterflyEmulation:
         limit = 8 * (sum(len(g.members) for g in groups) + self.k + 8)
         while joins_in_flight:
             sends = []
-            for v in net.node_ids:
+            for v in sorted(join_queue, key=rank.__getitem__):
+                queue = join_queue.pop(v)
                 used_dims: Set[int] = set()
                 deferred = deque()
-                while join_queue[v]:
-                    gid = join_queue[v].popleft()
+                while queue:
+                    gid = queue.popleft()
                     hop = self.next_hop(v, self.rendezvous_row(gid))
                     if hop is None:  # pragma: no cover - seeding filters these
                         joins_in_flight -= 1
@@ -323,14 +343,15 @@ class ButterflyEmulation:
                     used_dims.add(dim)
                     sends.append((v, neighbor, msg(join_tag, data=(gid,))))
                     joins_in_flight -= 1
-                join_queue[v] = deferred
+                if deferred:
+                    join_queue[v] = deferred
             if not sends and joins_in_flight:
                 raise ProtocolError("multicast join phase stalled")
             if not sends:
                 break
             inboxes = yield sends
-            for v in net.node_ids:
-                for message in take(inboxes, v, join_tag):
+            for v, messages in arrivals(inboxes, join_tag, rank):
+                for message in messages:
                     gid = message.data[0]
                     if gid in join_state[v]:
                         join_state[v][gid].add(message.src)
@@ -344,8 +365,8 @@ class ButterflyEmulation:
                 raise ProtocolError("multicast join exceeded its round guard")
 
         # Phase 2: source tokens ascend to the rendezvous, then flood down.
-        tok_queue: Dict[int, deque] = {v: deque() for v in net.node_ids}
-        down_queue: Dict[int, deque] = {v: deque() for v in net.node_ids}
+        tok_queue: Dict[int, deque] = defaultdict(deque)
+        down_queue: Dict[int, deque] = defaultdict(deque)
         deliveries = 0
         expected = sum(len(g.members) for g in groups)
 
@@ -367,12 +388,13 @@ class ButterflyEmulation:
         guard = 0
         while deliveries < expected:
             sends = []
-            for v in net.node_ids:
+            for v in sorted(tok_queue.keys() | down_queue.keys(), key=rank.__getitem__):
                 # Ascending tokens: one per dimension edge.
                 used_dims: Set[int] = set()
+                queue = tok_queue.pop(v, ())
                 deferred = deque()
-                while tok_queue[v]:
-                    gid, token_ids, data = tok_queue[v].popleft()
+                while queue:
+                    gid, token_ids, data = queue.popleft()
                     hop = self.next_hop(v, self.rendezvous_row(gid))
                     if hop is None:
                         down_queue[v].append((gid, token_ids, data))
@@ -386,13 +408,16 @@ class ButterflyEmulation:
                     sends.append(
                         (v, neighbor, msg(tok_tag, ids=token_ids, data=(gid, 0) + data))
                     )
-                tok_queue[v] = deferred
+                if deferred:
+                    tok_queue[v] = deferred
                 # Descending tokens: fan out to recorded children.
                 budget = max(1, net.send_cap - len(used_dims) - 1)
+                queue = down_queue.pop(v, ())
+                tree = join_state.get(v, {})
                 deferred = deque()
-                while down_queue[v]:
-                    gid, token_ids, data = down_queue[v].popleft()
-                    children = join_state[v].get(gid, set())
+                while queue:
+                    gid, token_ids, data = queue.popleft()
+                    children = tree.get(gid, ())
                     if len(children) > budget:
                         deferred.append((gid, token_ids, data))
                         budget = 0
@@ -406,14 +431,15 @@ class ButterflyEmulation:
                             )
                         )
                     budget -= len(children)
-                down_queue[v] = deferred
+                if deferred:
+                    down_queue[v] = deferred
             if not sends and deliveries < expected:
                 raise ProtocolError("multicast token phase stalled")
             if deliveries >= expected and not sends:
                 break
             inboxes = yield sends
-            for v in net.node_ids:
-                for message in take(inboxes, v, tok_tag):
+            for v, messages in arrivals(inboxes, tok_tag, rank):
+                for message in messages:
                     gid, descending = message.data[0], message.data[1]
                     data = tuple(message.data[2:])
                     token_ids = message.ids
@@ -446,6 +472,7 @@ class ButterflyEmulation:
         ``col:<gid>``; returns ``{gid: [(ids, data), ...]}``.
         """
         net, ns = self.net, self.ns
+        rank = net.node_index
         tag, fin = f"{ns}:bfc", f"{ns}:bfcfin"
         claim_tag = f"{ns}:bfclaim"
         expected = {g.gid: len(g.token_items()) for g in groups}
@@ -465,14 +492,15 @@ class ButterflyEmulation:
         l2 = max(dest_groups.values(), default=1)
         share = max(1, net.recv_cap // (2 * l2))
 
-        queues: Dict[int, deque] = {v: deque() for v in net.node_ids}
-        outbox: Dict[int, deque] = {v: deque() for v in net.node_ids}  # at rendezvous
-        claim_queue: Dict[int, deque] = {v: deque() for v in net.node_ids}
+        # Busy nodes only: tokens in transit, tokens at their rendezvous,
+        # and claims in transit.
+        queues: Dict[int, deque] = defaultdict(deque)
+        outbox: Dict[int, deque] = defaultdict(deque)
+        claim_queue: Dict[int, deque] = defaultdict(deque)
         rendezvous_dest: Dict[int, Optional[int]] = {}  # gid -> dest once known
         results: Dict[int, List[Tuple]] = {g.gid: [] for g in groups}
 
         for group in groups:
-            rendezvous = self._by_pos[self.rendezvous_row(group.gid)]
             if group.dest is not None:
                 rendezvous_dest.setdefault(group.gid, None)
             else:
@@ -499,12 +527,14 @@ class ButterflyEmulation:
         limit = 10 * (total + self.k + 16)
         while done < total:
             sends = []
-            for v in net.node_ids:
+            busy = claim_queue.keys() | queues.keys() | outbox.keys()
+            for v in sorted(busy, key=rank.__getitem__):
                 used_dims: Set[int] = set()
                 # Claims ride the same dimension-ordered routing.
+                claims = claim_queue.pop(v, ())
                 deferred_claims = deque()
-                while claim_queue[v]:
-                    gid, claimant = claim_queue[v].popleft()
+                while claims:
+                    gid, claimant = claims.popleft()
                     hop = self.next_hop(v, self.rendezvous_row(gid))
                     if hop is None:
                         rendezvous_dest[gid] = claimant
@@ -517,11 +547,13 @@ class ButterflyEmulation:
                     sends.append(
                         (v, neighbor, msg(claim_tag, ids=(claimant,), data=(gid,)))
                     )
-                claim_queue[v] = deferred_claims
+                if deferred_claims:
+                    claim_queue[v] = deferred_claims
 
+                queue = queues.pop(v, ())
                 deferred = deque()
-                while queues[v]:
-                    gid, token_ids, token_data = queues[v].popleft()
+                while queue:
+                    gid, token_ids, token_data = queue.popleft()
                     hop = self.next_hop(v, self.rendezvous_row(gid))
                     if hop is None:
                         outbox[v].append((gid, token_ids, token_data))
@@ -539,12 +571,16 @@ class ButterflyEmulation:
                     sends.append(
                         (v, neighbor, msg(tag, ids=wire_ids, data=(gid,) + token_data))
                     )
-                queues[v] = deferred
+                if deferred:
+                    queues[v] = deferred
 
+                box = outbox.get(v)
+                if not box:
+                    continue
                 emitted = 0
                 held = deque()
-                while outbox[v] and emitted < share:
-                    gid, token_ids, token_data = outbox[v].popleft()
+                while box and emitted < share:
+                    gid, token_ids, token_data = box.popleft()
                     dest = rendezvous_dest.get(gid)
                     if dest is None:
                         held.append((gid, token_ids, token_data))
@@ -560,21 +596,24 @@ class ButterflyEmulation:
                             (v, dest, msg(fin, ids=token_ids, data=(gid,) + token_data))
                         )
                         emitted += 1
-                outbox[v].extendleft(reversed(held))
+                box.extendleft(reversed(held))
+                if not box:
+                    del outbox[v]
             if not sends and done < total:
                 raise ProtocolError("collection stalled before completion")
             if done >= total:
                 break
             inboxes = yield sends
-            for v in net.node_ids:
-                for message in take(inboxes, v, claim_tag):
+            for v, messages in arrivals(inboxes, claim_tag, rank):
+                for message in messages:
                     gid = message.data[0]
                     if self._pos[v] == self.rendezvous_row(gid):
                         rendezvous_dest[gid] = message.ids[0]
                     else:
                         # Forward the claim onward next round.
                         claim_queue[v].append((gid, message.ids[0]))
-                for message in take(inboxes, v, tag):
+            for v, messages in arrivals(inboxes, tag, rank):
+                for message in messages:
                     gid = message.data[0]
                     token_ids = message.ids
                     if known_dest.get(gid) is not None:
@@ -584,7 +623,8 @@ class ButterflyEmulation:
                         outbox[v].append((gid, token_ids, token_data))
                     else:
                         queues[v].append((gid, token_ids, token_data))
-                for message in take(inboxes, v, fin):
+            for v, messages in arrivals(inboxes, fin, rank):
+                for message in messages:
                     gid = message.data[0]
                     token = (message.ids, tuple(message.data[1:]))
                     ns_state(net, v, ns).setdefault(f"col:{gid}", []).append(token)

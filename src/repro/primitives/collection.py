@@ -14,13 +14,13 @@ stream gets a third of the receive cap.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import Dict, List, Sequence, Tuple
 
 from repro.ncc.errors import ProtocolError
 from repro.ncc.message import msg
 from repro.ncc.network import Network
-from repro.primitives.protocol import Proto, ns_state, take
+from repro.primitives.protocol import Proto, arrivals, ns_state, take
 
 Token = Tuple[Tuple[int, ...], Tuple]
 
@@ -45,7 +45,8 @@ def global_collect(
     Returns the list of ``(ids, data)`` tokens at the leader (also stored
     under ``collected``); order is arrival order.
     """
-    queues: Dict[int, deque] = {v: deque() for v in members}
+    rank = {v: i for i, v in enumerate(members)}
+    queues: Dict[int, deque] = defaultdict(deque)  # busy members only
     for v, (token_ids, token_data) in holders.items():
         queues[v].append((tuple(token_ids), tuple(token_data)))
 
@@ -59,8 +60,7 @@ def global_collect(
     limit = 6 * (k + len(members) + 8)
     while len(collected) < k:
         # Root-local moves cost no communication.
-        while queues[root]:
-            root_out.append(queues[root].popleft())
+        root_out.extend(queues.pop(root, ()))
         if leader == root:
             while root_out:
                 collected.append(root_out.popleft())
@@ -68,16 +68,16 @@ def global_collect(
                 break
 
         sends = []
-        for v in members:
-            if v == root:
-                continue
+        for v in sorted(queues, key=rank.__getitem__):
             queue = queues[v]
             parent = ns_state(net, v, ns).get("parent")
-            if queue and parent is None:
+            if parent is None:
                 raise ProtocolError(f"token stranded at parentless node {v}")
             for _ in range(min(len(queue), share)):
                 token_ids, token_data = queue.popleft()
                 sends.append((v, parent, msg(up_tag, ids=token_ids, data=token_data)))
+            if not queue:
+                del queues[v]
         if leader != root:
             for _ in range(min(len(root_out), share)):
                 token_ids, token_data = root_out.popleft()
@@ -86,8 +86,8 @@ def global_collect(
         if not sends:
             raise ProtocolError("collection stalled with tokens missing")
         inboxes = yield sends
-        for v in members:
-            for message in take(inboxes, v, up_tag):
+        for v, messages in arrivals(inboxes, up_tag, rank):
+            for message in messages:
                 queues[v].append((message.ids, message.data))
         for message in take(inboxes, leader, fin_tag):
             collected.append((message.ids, message.data))

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 from repro.ncc.errors import ProtocolError
 from repro.ncc.message import msg
 from repro.ncc.network import Network
-from repro.primitives.protocol import Proto, ns_state, take, take_one
+from repro.primitives.protocol import Proto, arrivals, ns_state
 
 
 def prefix_sums(
@@ -31,6 +31,7 @@ def prefix_sums(
     returns the grand total at the root.
     """
     up_tag, down_tag = f"{ns}:psum", f"{ns}:pacc"
+    rank = {v: i for i, v in enumerate(members)}
 
     # Pass 1: subtree value sums (convergecast).
     pending = {}
@@ -59,9 +60,9 @@ def prefix_sums(
         if done >= len(members) and not sends:
             break
         inboxes = yield sends
-        for v in members:
-            for report in take(inboxes, v, up_tag):
-                state = ns_state(net, v, ns)
+        for v, reports in arrivals(inboxes, up_tag, rank):
+            state = ns_state(net, v, ns)
+            for report in reports:
                 if state.get("left") == report.src:
                     state["lsum"] = report.data[0]
                 else:
@@ -95,9 +96,12 @@ def prefix_sums(
             break
         inboxes = yield sends
         frontier = []
-        for v in members:
-            accepted = take_one(inboxes, v, down_tag)
-            if accepted is not None:
-                settle(v, accepted.data[0])
-                frontier.append((v, accepted.data[0]))
+        for v, accepted in arrivals(inboxes, down_tag, rank):
+            if len(accepted) > 1:
+                raise ProtocolError(
+                    f"node {v} expected at most one {down_tag!r}, got {len(accepted)}"
+                )
+            acc = accepted[0].data[0]
+            settle(v, acc)
+            frontier.append((v, acc))
     return total

@@ -36,6 +36,14 @@ Message namespacing: concurrent protocol instances tag their message
 ``kind`` as ``"<ns>:<tag>"`` and filter inboxes with :func:`take`.  The
 namespace plays the role of the constant-size protocol/group header the
 paper's primitives assume.
+
+Receiver-driven rule: round loops visit receivers and busy nodes, never
+all ``n``.  A protocol handles a round's deliveries through
+:func:`arrivals` (the receivers of one kind, sorted into node or member
+order) and sends from the nodes that hold queued work, sorted the same
+way, so its per-round cost follows its traffic while the emitted plan
+stays identical to a full node scan.  :func:`take` / :func:`take_one`
+remain for point lookups at a node the protocol already names.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from typing import (
     Dict,
     Generator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -70,22 +79,50 @@ class Fork:
 
 
 class InboxView(dict):
-    """One round's inboxes, with a lazy per-node ``kind`` index.
+    """One round's inboxes, with lazy per-node and per-kind indexes.
 
     Behaves exactly like the plain ``{node_id: [Message, ...]}`` dict the
     engines produce (protocols index and ``.get`` it directly), but the
     first :func:`take`/:func:`take_one` at a node builds that node's
     ``{kind: [messages]}`` index once, so every subsequent filter at the
-    node is two dict lookups instead of a list scan.  The view is shared
-    by all tasks parked on the same round barrier, so the index is built
-    at most once per (node, round) no matter how many protocols poll it.
+    node is two dict lookups instead of a list scan; likewise the first
+    :func:`arrivals` call builds the round's ``{kind: {node: messages}}``
+    receiver index (:meth:`receivers`).  The view is shared by all tasks
+    parked on the same round barrier, so each index is built at most
+    once per round no matter how many protocols poll it.
     """
 
-    __slots__ = ("_by_kind",)
+    __slots__ = ("_by_kind", "_receivers")
 
     def __init__(self, inboxes=()) -> None:
         dict.__init__(self, inboxes)
         self._by_kind: Dict[int, Dict[str, List[Message]]] = {}
+        self._receivers: Optional[Dict[str, Dict[int, List[Message]]]] = None
+
+    def receivers(self, kind: str) -> Dict[int, List[Message]]:
+        """``{node: [messages]}`` for every node that received ``kind``.
+
+        The round's whole ``{kind: {node: [messages]}}`` index is built
+        once, on the first call, in one pass over the delivered
+        messages; each node's list keeps inbox order.  Treat the result
+        as read-only.
+        """
+        index = self._receivers
+        if index is None:
+            index = self._receivers = {}
+            index_get = index.get
+            for node, box in self.items():
+                for message in box:
+                    by_node = index_get(message.kind)
+                    if by_node is None:
+                        index[message.kind] = {node: [message]}
+                        continue
+                    bucket = by_node.get(node)
+                    if bucket is None:
+                        by_node[node] = [message]
+                    else:
+                        bucket.append(message)
+        return index.get(kind, _NO_RECEIVERS)
 
     def kind_index(self, node: int) -> Dict[str, List[Message]]:
         """The node's ``{kind: [messages]}`` map (built on first use).
@@ -286,11 +323,34 @@ _ns_counter = itertools.count()
 #: treat `take` results as read-only (iterate/index/concatenate); never
 #: mutate this list.
 _NO_MESSAGES: List[Message] = []
+_NO_RECEIVERS: Dict[int, List[Message]] = {}
 
 
 def fresh_ns(prefix: str) -> str:
     """A short unique namespace for one protocol instance's messages."""
     return f"{prefix}{next(_ns_counter)}"
+
+
+def arrivals(
+    inboxes: Inboxes, kind: str, order: Mapping[int, int]
+) -> List[Tuple[int, List[Message]]]:
+    """This round's ``(node, messages of kind)``, receivers only, in ``order``.
+
+    ``order`` ranks the nodes a protocol drives (``net.node_index`` or a
+    member index); receivers it does not rank are skipped.  Visiting the
+    sorted receivers is exactly a ``take`` scan over every ranked node
+    minus the empty visits, so handling stays in the canonical order at
+    ``O(messages)`` per round instead of ``O(n)``.
+    """
+    if inboxes.__class__ is not InboxView:
+        inboxes = InboxView(inboxes)
+    by_node = inboxes.receivers(kind)
+    if not by_node:
+        return []
+    nodes = [v for v in by_node if v in order]
+    if len(nodes) > 1:
+        nodes.sort(key=order.__getitem__)
+    return [(v, by_node[v]) for v in nodes]
 
 
 def take(inboxes: Inboxes, node: int, kind: str) -> List[Message]:

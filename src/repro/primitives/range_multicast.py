@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.ncc.errors import ProtocolError
 from repro.ncc.message import msg
 from repro.ncc.network import Network
-from repro.primitives.protocol import Proto, ns_state, take
+from repro.primitives.protocol import Proto, arrivals, ns_state
 
 Token = Tuple[Tuple[int, ...], Tuple]
 
@@ -93,11 +93,12 @@ def range_multicast(
             )
         )
 
+    rank = net.node_index
     guard = 0
     while sends or active:
         inboxes = yield sends
-        for v in net.node_ids:
-            for message in take(inboxes, v, tag):
+        for v, messages in arrivals(inboxes, tag, rank):
+            for message in messages:
                 direction, bound = message.data[0], message.data[1]
                 token = (message.ids, tuple(message.data[2:]))
                 state = ns_state(net, v, ns)

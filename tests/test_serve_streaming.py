@@ -429,6 +429,12 @@ class TestWordCacheBound:
     def test_shared_caches_evict_oldest_beyond_limit(self, monkeypatch):
         import repro.ncc.message as message_module
 
+        # The caches are process-wide: whatever ran earlier may have
+        # filled the width-48 scalar cache past the patched limit, which
+        # would add its evictions to the count below.  Start from empty
+        # registries so the test sees only what it inserts.
+        monkeypatch.setattr(message_module, "_WORD_CACHES", {})
+        monkeypatch.setattr(message_module, "_WORD_CACHE_EVICTIONS", {})
         int_cache, scalar_cache = message_module.word_caches(48)
         int_cache.clear()
         int_cache.update({i: 1 for i in range(10)})
