@@ -98,14 +98,7 @@ Two benchmarks also track *implementation* performance across PRs:
   through each engine's `deliver()` on fresh identically-seeded
   networks — isolating the round engine from protocol-side generator
   cost.  Schema: per case `{{workload, n, rounds, messages,
-  fast_msgs_per_sec, reference_msgs_per_sec, speedup,
-  columnar_msgs_per_sec, wire_objects_msgs_per_sec,
-  columnar_speedup_vs_fast, objects_peak_kb, columnar_peak_kb}}` — the
-  `columnar_*` keys (PR 10) time the wire-arrival->inboxes trip for the
-  stream's two wire forms (per-message object decode vs a
-  `ColumnarRoundBatch` blob delivered straight from its columns), and
-  `--check` gates `columnar_speedup_vs_fast >= 1.25` as a *fresh-run*
-  property on every engine case.
+  fast_msgs_per_sec, reference_msgs_per_sec, speedup, target_speedup}}`.
 - **X-PROTO** (`bench_protocol_wallclock.py` -> `BENCH_protocol.json`):
   runs the same workloads *end to end* — generator protocols, the
   `Scheduler` trampoline, and the engine together — on fresh networks,
@@ -133,42 +126,17 @@ Two benchmarks also track *implementation* performance across PRs:
   top-level `speedup` (warm/cold, target >= 1.5).  The summed
   rounds/messages are the regression-guard invariants.
 - **X-MP** (`bench_multiprocess.py` -> `BENCH_multiprocess.json`): the
-  multiprocess execution layer, both granularities.  *Engine rows*
-  (`sorting_engine_fast` / `sorting_engine_s<k>`): one end-to-end thm03
-  sorting run (n = 128, full fidelity) per engine configuration — the
-  in-process fast engine and the sharded barrier-exchange engine at
-  shard counts {{2, 4}} — on fresh identically-seeded networks, with
-  RoundStats asserted bit-identical across every configuration (the
-  differential suites are the underlying gate; shard counts beyond the
-  suite's {{2, 3}} re-verify here at benchmark scale).  Schema:
-  `{{workload, n, shards (0 = in-process), rounds, simulated_rounds,
-  messages, elapsed_sec, rounds_per_sec, speedup_vs_fast}}`.  Every
-  simulated message crosses a process boundary at least twice, so
-  `speedup_vs_fast < 1` on few-core hosts is the *expected, honestly
-  recorded* cost of the architecture.  *Transport rows*
-  (`transport_pickle` / `transport_codec`): the columnar wire codec
-  (`repro/ncc/wire.py` — the sharded engine's cross-shard transport)
-  raced against per-object pickling on the *same* captured round
-  batches of the engine workload; both sides do the full trip the pipe
-  pays (encode -> pickle.dumps -> pickle.loads -> decode vs dumps ->
-  loads), with round trips asserted bit-identical before timing.
-  Schema: `{{workload, n, messages, batches, wire_bytes, elapsed_sec,
-  msgs_per_sec}}` plus `speedup_vs_pickle` on the codec row and
-  top-level `transport_speedup`; the gate is `speedup_vs_pickle > 1`
-  (the codec must actually pay for its existence), and `messages` /
-  `batches` are the capture-determinism invariants.  *Drain rows*
-  (`drain_threads` / `drain_processes`): the mixed 60-request service
-  batch drained cold (response cache disabled, so all 60 execute) with
-  4 workers per mode; responses asserted field-identical.  Schema:
-  `{{workload, n (0 = mixed), requests, distinct, workers, rounds,
-  messages, elapsed_sec, requests_per_sec, worker_crashes}}`, plus
-  top-level `drain_speedup` (processes/threads), `usable_cores`, and
-  `effective_target` — the 2x parallel target applies on >= 4 cores;
-  hosts below that cannot express the parallelism, so the gate degrades
-  to an IPC-overhead bound (see the module docstring).  Timing is
-  wall-clock: child-process CPU is invisible to the parent's CPU clock.
-  The rounds/messages invariants double as the sharded engine's CI
-  bit-identity trip-wire.
+  process drain.  *Drain rows* (`drain_threads` / `drain_processes`):
+  the mixed 60-request service batch drained cold (response cache
+  disabled, so all 60 execute) with 4 workers per mode; responses
+  asserted field-identical.  Schema: `{{workload, n (0 = mixed),
+  requests, distinct, workers, rounds, messages, elapsed_sec,
+  requests_per_sec, worker_crashes}}`, plus top-level `drain_speedup`
+  (processes/threads), `usable_cores`, and `effective_target` — the 2x
+  parallel target applies on >= 4 cores; hosts below that cannot
+  express the parallelism, so the gate degrades to an IPC-overhead
+  bound (see the module docstring).  Timing is wall-clock:
+  child-process CPU is invisible to the parent's CPU clock.
 
 - **X-SERVE** (`bench_serve.py` -> `BENCH_serve.json`): the asyncio TCP
   serve front end under load.  The X-SVC mixed traffic at socket scale
@@ -367,8 +335,8 @@ def write_serve_json(path: str) -> dict:
 
 
 def write_multiprocess_json(path: str) -> dict:
-    """Write the BENCH_multiprocess.json record (sharded engine by shard
-    count + process-vs-thread drain).  Uses the module's cached
+    """Write the BENCH_multiprocess.json record (process-vs-thread
+    drain).  Uses the module's cached
     ``bench_results()`` so EXPERIMENTS.md and the JSON report one
     measurement."""
     import bench_multiprocess
@@ -378,12 +346,7 @@ def write_multiprocess_json(path: str) -> dict:
     payload = {
         "benchmark": "multiprocess",
         "description": (
-            "sharded (multiprocess barrier-exchange) engine vs fast engine, "
-            "end-to-end thm03 sorting, RoundStats asserted bit-identical, "
-            "cross-shard transport on the columnar wire codec; the codec "
-            "raced against per-object pickle on the captured round batches "
-            "(transport rows, round trips asserted bit-identical); plus the "
-            "mixed 60-request service batch drained cold (response cache "
+            "the mixed 60-request service batch drained cold (response cache "
             "disabled) through the threaded vs process executor, 4 workers "
             "each, responses asserted field-identical; wall-clock "
             "best-of-reps (child CPU is invisible to the parent CPU clock)"
@@ -394,7 +357,6 @@ def write_multiprocess_json(path: str) -> dict:
         "effective_target": bench_multiprocess.floor_for_cores(cores),
         "results": results,
         "drain_speedup": bench_multiprocess.drain_speedup(),
-        "transport_speedup": bench_multiprocess.transport_speedup(),
     }
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2)
@@ -436,11 +398,7 @@ def check_against_committed(tolerance: float = 0.15) -> int:
             os.path.join(repo_root, "BENCH_engine.json"),
             bench_engine_throughput.bench_results,
             ("rounds", "messages"),
-            (
-                "fast_msgs_per_sec",
-                "reference_msgs_per_sec",
-                "columnar_msgs_per_sec",
-            ),
+            ("fast_msgs_per_sec", "reference_msgs_per_sec"),
         ),
         (
             "protocol",
@@ -480,19 +438,12 @@ def check_against_committed(tolerance: float = 0.15) -> int:
             ("requests_per_sec",),
         ),
         (
-            # The rounds/messages invariants are the sharded engine's
-            # bit-identity regression trip-wire; any drift fails CI.
-            # Throughput guarding covers the drain rows only
-            # (requests_per_sec): the engine rows run more worker
-            # processes than a small host has cores, so their wall-clock
-            # is OS-scheduler noise (±20% run to run) — recorded
-            # honestly in the JSON, but not a stable regression signal.
-            # The fast path's throughput is already guarded by the
-            # engine/protocol suites above.
+            # The drain rows' summed rounds/messages are the process
+            # drain's answer-preservation trip-wire; any drift fails CI.
             "multiprocess",
             os.path.join(repo_root, "BENCH_multiprocess.json"),
             bench_multiprocess.bench_results,
-            ("rounds", "messages", "requests", "distinct", "batches"),
+            ("rounds", "messages", "requests", "distinct"),
             ("requests_per_sec",),
         ),
     ]
@@ -532,32 +483,6 @@ def check_against_committed(tolerance: float = 0.15) -> int:
                     )
                 else:
                     print(f"[check] {label}: {key} {old:,} -> {new:,} ok")
-
-    # The columnar-native gate is a *fresh-run* property (PR 10): on
-    # every engine case the wire->inboxes replay of the columnar form
-    # must beat the object-decode form by the published factor.  A
-    # ratio measured within one process on one machine is robust to
-    # host speed, unlike absolute msg/s.
-    columnar_gate = bench_engine_throughput.COLUMNAR_TARGET_SPEEDUP
-    for row in bench_engine_throughput.bench_results():
-        label = f"engine:{row['workload']}/{row['n']}"
-        checked += 1
-        ratio = row.get("columnar_speedup_vs_fast")
-        if ratio is None:
-            problems.append(
-                f"{label}: columnar_speedup_vs_fast missing from fresh "
-                "results (benchmark schema drifted)"
-            )
-        elif ratio < columnar_gate:
-            problems.append(
-                f"{label}: columnar replay only {ratio:.2f}x the "
-                f"object-decode fast path (gate {columnar_gate:.2f}x)"
-            )
-        else:
-            print(
-                f"[check] {label}: columnar_speedup_vs_fast "
-                f"{ratio:.2f}x >= {columnar_gate:.2f}x ok"
-            )
 
     # The tracing-overhead gate is a *fresh-run* property, not a diff
     # against the committed record: every check re-measures the serve

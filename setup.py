@@ -1,6 +1,7 @@
-"""Setuptools shim: enables legacy editable installs (`pip install -e .`)
-in offline environments that lack the `wheel` package required by the
-PEP-660 editable path.  All metadata lives in pyproject.toml.
+"""Setuptools shim for offline editable installs: ``python setup.py
+develop`` works without the ``wheel`` package that ``pip install -e .``
+(the PEP-660 editable path) requires.  All metadata lives in
+pyproject.toml.
 """
 
 from setuptools import setup

@@ -58,67 +58,29 @@ from repro.ncc.metrics import PhaseRecord, RoundStats
 class RoundPlan:
     """The set of sends all nodes issue in one synchronous round.
 
-    Two staging modes share the class:
-
-    * **object staging** (the default, and what the scheduler produces):
-      ``send()`` appends ``(src, dst, message)`` tuples to ``_sends``;
-    * **columnar staging** (:meth:`from_batch`): the round arrives as a
-      :class:`~repro.ncc.wire.ColumnarRoundBatch` — recorded replays,
-      wire-fed rounds — and ``_sends`` stays ``None`` until something
-      needs objects.  The fast engine delivers such a plan straight from
-      the columns; reading :attr:`sends` (the reference engine, or any
-      per-message consumer) converts the plan to object staging once.
+    A plain send list: ``send()`` appends ``(src, dst, message)`` tuples
+    in plan order, which is the delivery tiebreak in every engine, so
+    the list must not be reordered.
     """
 
-    __slots__ = ("_sends", "_batch")
+    __slots__ = ("sends",)
 
     def __init__(self) -> None:
-        self._sends: Optional[List[Tuple[int, int, Message]]] = []
-        self._batch = None
-
-    @classmethod
-    def from_batch(cls, batch) -> "RoundPlan":
-        """A columnar-staged plan over ``batch`` (no send list built)."""
-        plan = cls.__new__(cls)
-        plan._sends = None
-        plan._batch = batch
-        return plan
+        self.sends: List[Tuple[int, int, Message]] = []
 
     def send(self, src: int, dst: int, message: Message) -> None:
         """Schedule ``message`` from ``src`` to ``dst`` for this round."""
-        sends = self._sends
-        if sends is None:
-            sends = self.sends  # converts a columnar-staged plan
-        sends.append((src, dst, message))
+        self.sends.append((src, dst, message))
 
     def extend(self, other: "RoundPlan") -> None:
         """Merge another plan's sends into this one."""
         self.sends.extend(other.sends)
 
-    @property
-    def sends(self) -> List[Tuple[int, int, Message]]:
-        """The staged ``(src, dst, message)`` sends in plan order.
-
-        The engines' read surface: the in-process engines iterate it
-        directly, and the sharded engine columnarises it per sender
-        shard (:mod:`repro.ncc.wire`) at the process boundary.  Plan
-        order is the delivery tiebreak everywhere, so the list must not
-        be reordered.  On a columnar-staged plan the first read
-        materialises the send list and the plan is object-staged from
-        then on (the batch is dropped so the two forms cannot diverge).
-        """
-        sends = self._sends
-        if sends is None:
-            sends = self._sends = self._batch.to_sends()
-            self._batch = None
-        return sends
-
     def __len__(self) -> int:
-        sends = self._sends
-        return len(sends) if sends is not None else len(self._batch)
+        return len(self.sends)
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        return len(self.sends) > 0
 
 
 Inboxes = Dict[int, List[Message]]
@@ -227,11 +189,8 @@ class Network:
             Callable[[int, Dict[str, float], int, int], None]
         ] = None
 
-        # Round-execution engine (config.engine: "fast" | "reference" |
-        # "sharded").  Engines with replicated state expose a note_grant
-        # hook so out-of-band knowledge grants reach their replicas.
+        # Round-execution engine (config.engine: "fast" | "reference").
         self.engine = make_engine(config.engine, self)
-        self._grant_hook = getattr(self.engine, "note_grant", None)
 
     # ------------------------------------------------------------------ #
     # Warm reuse (the service pool's lease API)                          #
@@ -282,17 +241,6 @@ class Network:
         self.engine.reset()
         return self
 
-    def close(self) -> None:
-        """Release engine-held external resources (worker processes).
-
-        A no-op for the in-process engines; the sharded engine stops its
-        worker processes.  The network remains usable afterwards —
-        sharded workers respawn lazily on the next delivering round.
-        """
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()
-
     # ------------------------------------------------------------------ #
     # Topology / identity helpers                                        #
     # ------------------------------------------------------------------ #
@@ -327,8 +275,6 @@ class Network:
         """
         if v != u:
             self.known[u].add(v)
-            if self._grant_hook is not None:
-                self._grant_hook(u, v)
 
     # ------------------------------------------------------------------ #
     # The round engine                                                   #
@@ -421,10 +367,9 @@ class Network:
         The engines call ``observer(round_no, phase_seconds,
         queue_depth, defer_backlog)`` once per delivered round:
         ``phase_seconds`` maps phase names (``validate``/``deliver``,
-        plus ``exchange`` for the sharded engine and ``fallback`` for
-        violation replays) to wall seconds, ``queue_depth`` is the
-        round's max inbox load, ``defer_backlog`` the defer-mode queue
-        total after the round.  Observers must not mutate network state
+        plus ``fallback`` for violation replays) to wall seconds,
+        ``queue_depth`` is the round's max inbox load, ``defer_backlog``
+        the defer-mode queue total after the round.  Observers must not mutate network state
         — they see timings, not the simulation.  Cleared by
         :meth:`reset`, so pooled leases never inherit one.
         """
@@ -464,21 +409,6 @@ class Network:
     # ------------------------------------------------------------------ #
     # Metrics                                                            #
     # ------------------------------------------------------------------ #
-
-    def engine_stats(self) -> Dict[str, int]:
-        """Engine-internal observability counters.
-
-        Lazy-materialisation meters (``messages_materialized`` /
-        ``messages_stayed_columnar``, process-wide and monotone — see
-        :func:`repro.ncc.wire.materialization_counts`) plus the word
-        caches' ``word_cache_evictions``.  Deliberately *not* part of
-        :meth:`stats`: :class:`~repro.ncc.metrics.RoundStats` is the
-        bit-identical cross-engine surface, and how many objects were
-        lazily built is a property of what the *caller* touched, not of
-        the simulated round.
-        """
-        stats = getattr(self.engine, "stats", None)
-        return dict(stats()) if stats is not None else {}
 
     def stats(self) -> RoundStats:
         """Snapshot of all counters (rounds, messages, words, phases)."""

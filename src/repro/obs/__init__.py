@@ -5,7 +5,7 @@ Three cooperating pieces, shared by the whole serve stack:
 * **Request-scoped tracing** (:mod:`~repro.obs.trace`): a bounded
   :class:`Span` tree opened at admission, carried through every drain
   mode and across the process-pool boundary (fork *and* spawn) as a
-  compact trace context on the columnar wire envelope, reassembled into
+  compact trace context on the wire envelope's trailer, reassembled into
   one tree per request in the parent and exported as JSONL or Chrome
   ``trace_event`` JSON (:mod:`~repro.obs.exporters`).
 * **A unified metrics registry** (:mod:`~repro.obs.metrics`):

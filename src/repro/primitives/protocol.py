@@ -64,7 +64,6 @@ from typing import (
 from repro.ncc.errors import ProtocolError
 from repro.ncc.message import Message
 from repro.ncc.network import Network
-from repro.ncc.wire import ColumnarInbox
 
 Send = Tuple[int, int, Message]
 Inboxes = Dict[int, List[Message]]
@@ -125,35 +124,20 @@ class InboxView(dict):
         return index.get(kind, _NO_RECEIVERS)
 
     def kind_index(self, node: int) -> Dict[str, List[Message]]:
-        """The node's ``{kind: [messages]}`` map (built on first use).
-
-        A columnar box (:class:`~repro.ncc.wire.ColumnarInbox` in field
-        mode) splits by kind on its *columns* instead — pure int work,
-        yielding lazy per-kind sub-views — so taking one kind at a node
-        materialises only that kind's messages and everything untaken
-        stays columnar.
-        """
+        """The node's ``{kind: [messages]}`` map (built on first use)."""
         index = self._by_kind.get(node)
         if index is None:
+            index = {}
             box = dict.get(self, node)
-            if (
-                box is not None
-                and box.__class__ is ColumnarInbox
-                and box._forced is None
-                and box._batch.kinds is not None
-            ):
-                index = box.kind_views()
-            else:
-                index = {}
-                if box:
-                    index_get = index.get
-                    for message in box:
-                        kind = message.kind
-                        bucket = index_get(kind)
-                        if bucket is None:
-                            index[kind] = [message]
-                        else:
-                            bucket.append(message)
+            if box:
+                index_get = index.get
+                for message in box:
+                    kind = message.kind
+                    bucket = index_get(kind)
+                    if bucket is None:
+                        index[kind] = [message]
+                    else:
+                        bucket.append(message)
             self._by_kind[node] = index
         return index
 
@@ -291,7 +275,7 @@ class Scheduler:
                 raise ProtocolError("protocol deadlock: no task can advance")
 
             plan = net.plan()
-            plan._sends = pending_sends
+            plan.sends = pending_sends
             inboxes = net.deliver(plan)
             rounds_used += 1
             if rounds_used > max_rounds:

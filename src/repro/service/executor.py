@@ -7,7 +7,7 @@ the warm-path layers a long-lived service wants:
 * a :class:`~repro.service.pool.NetworkPool` so requests lease warm
   networks instead of constructing them;
 * the :class:`~repro.service.registry.ScenarioRegistry`'s memoized
-  materialization so named workloads are generated once;
+  scenario cache so named workloads are generated once;
 * a response cache: the simulation is deterministic in the request's
   ``cache_key()`` (everything but ``request_id``), so repeated requests
   — the shape of real service traffic — are answered without re-running
@@ -57,6 +57,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import multiprocessing
 import os
 import signal
 import threading
@@ -75,7 +76,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.ncc.errors import DeadlineExceeded, RoundBudgetExceeded
 from repro.ncc.network import Network
-from repro.ncc.sharded import fork_context
 from repro.obs import (
     Histogram,
     LatencyRecorder,
@@ -105,6 +105,16 @@ from repro.service.robustness import CircuitBreaker, RetryPolicy
 EXECUTOR_MODES = ("sequential", "threads", "processes")
 
 
+def fork_context():
+    """``fork`` where available, else the platform default context.
+
+    Fork gives cheap persistent workers that inherit module state (the
+    service's crash-probe test seam relies on that).
+    """
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
+
+
 class _ExecutorClosed(RuntimeError):
     """Raised by ``_ensure_process_pool`` when ``close()`` won a race
     against a pool (re)build — the caller envelopes instead of leaking a
@@ -116,7 +126,7 @@ def resolve_workload(
     registry: ScenarioRegistry = DEFAULT_REGISTRY,
     use_cache: bool = True,
 ) -> Tuple[int, ...]:
-    """The request's workload vector (inline, or materialized scenario)."""
+    """The request's workload vector (inline, or generated scenario)."""
     if request.degrees is not None:
         return request.degrees
     assert request.scenario is not None and request.n is not None
@@ -412,14 +422,11 @@ def _process_worker_run(
                 )
             finally:
                 _WORKER_POOL.release(net)
-        net = Network(n, config)
-        try:
-            run_span = span.child("run") if span is not None else None
-            return run_request(
-                request, net, workload, registry, deadline, span=run_span
-            )
-        finally:
-            net.close()  # sharded engines hold worker processes
+        run_span = span.child("run") if span is not None else None
+        return run_request(
+            request, Network(n, config), workload, registry, deadline,
+            span=run_span,
+        )
     except ServiceError as exc:
         return error_response(request.request_id, request.kind, str(exc))
     except Exception as exc:  # pragma: no cover - defensive envelope
@@ -445,45 +452,17 @@ def _resolve_future(out: "Future", response: RealizationResponse) -> None:
             pass
 
 
-def _engine_columnar_metrics():
-    """Registry collector: columnar-engine counters at scrape time.
+def _engine_metrics():
+    """Registry collector: engine counters at scrape time.
 
-    Process-wide monotone counters (see :func:`repro.ncc.wire.
-    materialization_counts` and :func:`repro.ncc.message.
-    word_cache_evictions`) covering every engine that ran in this
-    process — in-process requests and the sharded engine's parent side.
-    Pool worker processes keep their own counters; those surface through
-    the workers' own registries, not this scrape.
+    The word caches' eviction count (:func:`repro.ncc.message.
+    word_cache_evictions`), process-wide and monotone, covering every
+    in-process request.  Pool worker processes keep their own counters;
+    those surface through the workers' own registries, not this scrape.
     """
     from repro.ncc.message import word_cache_evictions
-    from repro.ncc.wire import materialization_counts
 
-    counts = materialization_counts()
     return [
-        (
-            "repro_engine_messages_materialized_total",
-            "counter",
-            "Message objects constructed from columnar round batches",
-            [
-                (
-                    "repro_engine_messages_materialized_total",
-                    (),
-                    float(counts["messages_materialized"]),
-                )
-            ],
-        ),
-        (
-            "repro_engine_messages_stayed_columnar_total",
-            "counter",
-            "Messages delivered columnar whose inboxes were never forced",
-            [
-                (
-                    "repro_engine_messages_stayed_columnar_total",
-                    (),
-                    float(counts["messages_stayed_columnar"]),
-                )
-            ],
-        ),
         (
             "repro_engine_word_cache_evictions_total",
             "counter",
@@ -544,7 +523,7 @@ class BatchExecutor:
         no key to coalesce on — and benchmark cold modes rely on every
         occurrence actually executing).
     cache_scenarios:
-        Use the registry's memoized materialization; disable to force
+        Use the registry's memoized scenario cache; disable to force
         regeneration per request (the benchmark's cold mode).
     mode / workers:
         ``"sequential"``, ``"threads"`` or ``"processes"`` (+ worker
@@ -728,7 +707,7 @@ class BatchExecutor:
         if pool is not None:
             self.metrics.register_collector("network_pool", pool.collect_metrics)
         self.metrics.register_collector("circuit_breaker", self._breaker_metrics)
-        self.metrics.register_collector("engine_columnar", _engine_columnar_metrics)
+        self.metrics.register_collector("engine", _engine_metrics)
         # Durability: with a journal attached, every request is written
         # at admission and completion (handle, submit, and the batch
         # processes drain all funnel through it); duplicate submissions
@@ -1178,18 +1157,14 @@ class BatchExecutor:
                     )
                 finally:
                     self.pool.release(net)
-            net = Network(n, config)
-            try:
-                run_span = span.child("run") if span is not None else None
-                return run_request(
-                    request, net, workload, self.registry, deadline,
-                    span=run_span,
-                    phase_histogram=(
-                        self.engine_phase_hist if span is not None else None
-                    ),
-                )
-            finally:
-                net.close()  # sharded engines hold worker processes
+            run_span = span.child("run") if span is not None else None
+            return run_request(
+                request, Network(n, config), workload, self.registry,
+                deadline, span=run_span,
+                phase_histogram=(
+                    self.engine_phase_hist if span is not None else None
+                ),
+            )
         except ServiceError as exc:
             return error_response(request.request_id, request.kind, str(exc))
         except Exception as exc:  # last resort: a long-lived serve loop

@@ -15,8 +15,7 @@ Design notes
 **Records are wire envelopes.**  A journaled request/response is the
 same positional tuple that crosses the process-drain boundary
 (``RealizationRequest.to_wire()`` / ``RealizationResponse.to_wire()``
-from :mod:`repro.service.api`, built on :mod:`repro.ncc.wire`), pickled
-inside a small framed record::
+from :mod:`repro.service.api`), pickled inside a small framed record::
 
     [u32 length][u32 crc32c(payload)][payload = pickle(record tuple)]
 
@@ -24,7 +23,10 @@ Record tuples (``seq`` is a journal-global monotone counter):
 
 * ``("admitted", seq, session_token, session_index, idempotency_key,
   request_wire)`` — written *before* execution starts, in every drain
-  mode.
+  mode.  ``request_wire`` is the bare envelope, exactly
+  ``len(RealizationRequest._WIRE_KEYS)`` slots wide; recovery counts an
+  incomplete admission of any other width as ``incompatible`` (a log
+  written under another request layout) and never re-executes it.
 * ``("completed", seq, admitted_seq, response_wire)`` — written when the
   response exists; links back to its admission by seq, so ambiguous or
   reused ``request_id`` values cannot cross wires.
@@ -102,6 +104,7 @@ class JournalRecovery:
     orphan_completions: int = 0
     truncated_bytes: int = 0
     torn_tail: bool = False
+    incompatible: int = 0
     incomplete: List[Tuple[int, str, int, RealizationRequest]] = field(
         default_factory=list
     )
@@ -385,11 +388,23 @@ class RequestJournal:
                 if token:
                     self._remember_session(token, sidx, wire_resp)
             # Unknown record kinds from a future version are skipped.
+        width = len(RealizationRequest._WIRE_KEYS)
         for seq in sorted(set(admissions) - set(completions)):
             token, sidx, key, wire_req = admissions[seq]
+            if len(wire_req) != width:
+                # Written under another request layout: positional slots
+                # would decode into the wrong fields, so never replay it.
+                rec.incompatible += 1
+                continue
             self._incomplete[seq] = (token, sidx, key, wire_req)
             rec.incomplete.append(
                 (seq, token, sidx, RealizationRequest.from_wire(wire_req))
+            )
+        if rec.incompatible:
+            print(
+                f"journal: skipping {rec.incompatible} incomplete admission(s) "
+                f"in {self.path} written with an incompatible request layout",
+                file=sys.stderr,
             )
         rec.sessions = {
             token: [
@@ -509,6 +524,7 @@ class RequestJournal:
                 "recovered_incomplete": len(rec.incomplete),
                 "torn_tail": rec.torn_tail,
                 "truncated_bytes": rec.truncated_bytes,
+                "incompatible": rec.incompatible,
             }
 
     def collect_metrics(self):

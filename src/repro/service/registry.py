@@ -70,9 +70,9 @@ class Scenario:
 
 
 class ScenarioRegistry:
-    """Name -> :class:`Scenario`, with memoized materialization.
+    """Name -> :class:`Scenario`, with memoized generation.
 
-    The materialization cache is LRU-bounded by ``max_cached`` so a
+    The scenario cache is LRU-bounded by ``max_cached`` so a
     long-lived service stays bounded under diverse traffic while the
     popular scenarios of a skewed mix stay resident (the FIFO policy it
     replaces evicted by insertion age, dropping hot entries under churn).

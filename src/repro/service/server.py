@@ -76,7 +76,9 @@ from repro.service.pool import NetworkPool
 
 __all__ = [
     "ADMISSION_REJECTED",
+    "MAX_LINE_BYTES",
     "METRICS_KIND",
+    "REQUEST_TOO_LARGE",
     "SESSION_KIND",
     "SESSION_UNKNOWN",
     "STATS_KIND",
@@ -129,6 +131,15 @@ SESSION_UNKNOWN = "SESSION_UNKNOWN"
 #: Deterministic ``retry_after_ms`` hint on draining-server rejections:
 #: the drain outlasts any window pressure, so the hint is a flat bound.
 RETRY_AFTER_DRAINING_MS = 1000
+
+#: Typed ``error_code`` for a request line longer than
+#: :data:`MAX_LINE_BYTES`.  The line is discarded through its newline
+#: and the connection stays usable for the next request.
+REQUEST_TOO_LARGE = "REQUEST_TOO_LARGE"
+
+#: Longest request line the socket reader buffers (bytes, newline
+#: included); a ``degree_implicit`` request at n = 10^5 fits comfortably.
+MAX_LINE_BYTES = 1 << 20
 
 #: Unacked responses buffered per session (oldest dropped beyond this —
 #: a client that never acks cannot pin unbounded memory).
@@ -271,6 +282,7 @@ class SocketServer:
         self.handled = 0  # responses emitted (all connections)
         self.errors = 0  # of those, verdict == "ERROR"
         self.rejected = 0  # admission rejections (counted in errors too)
+        self.too_large = 0  # request lines over MAX_LINE_BYTES (in errors too)
         self.connections_total = 0
         self.started_at = time.monotonic()  # re-stamped by start()
         self._inflight = 0  # admitted requests whose future is not done
@@ -321,7 +333,8 @@ class SocketServer:
                 max_workers=workers, thread_name_prefix="socket-serve"
             )
         self._server = await asyncio.start_server(
-            self._client_connected, host=self.host, port=self.port
+            self._client_connected, host=self.host, port=self.port,
+            limit=MAX_LINE_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -439,7 +452,19 @@ class SocketServer:
         self, reader: asyncio.StreamReader, conn: _Connection
     ) -> None:
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
+            if line is None:
+                self.too_large += 1
+                item = self._immediate(
+                    error_response(
+                        "", "?",
+                        f"request line exceeds {MAX_LINE_BYTES} bytes",
+                        code=REQUEST_TOO_LARGE,
+                    ),
+                    conn,
+                )
+                conn.queue.put_nowait(item)
+                continue
             if not line:
                 return  # client EOF
             text = line.decode("utf-8", errors="replace").strip()
@@ -771,6 +796,7 @@ class SocketServer:
                 "handled": self.handled,
                 "errors": self.errors,
                 "rejected": self.rejected,
+                "too_large": self.too_large,
                 "draining": self._draining,
                 "uptime_s": round(time.monotonic() - self.started_at, 3),
                 "sessions": {
@@ -834,6 +860,29 @@ class SocketServer:
             (name, kind, help, [(name, (), value)])
             for name, kind, help, value in series
         ]
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line (``b""`` at EOF), or ``None`` for a line
+    over the reader's limit, which is consumed through its newline so
+    the next line parses cleanly."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # EOF; a final unterminated line still counts
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        # The over-limit bytes stay buffered: drop them, then look for
+        # the newline again in what follows.
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None  # EOF mid-line: answer it, then see EOF next
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
 
 
 def serve_socket(

@@ -1,12 +1,11 @@
 """Property-based differential tests: every engine ≡ reference engine.
 
-The fast and sharded engines' contract (see :mod:`repro.ncc.engine` and
-:mod:`repro.ncc.sharded`) is *bit-identical observable behaviour*: same
-realizations, same knowledge, same metrics, same raised errors.  These
-tests drive full protocols — degree realization on seeded
-Erdős–Gallai-feasible sequences, tree realization on random
-Prüfer-derived sequences — under all engines (the multiprocess sharded
-engine at two shard counts) and assert the outcomes are equal, and
+The fast engine's contract (see :mod:`repro.ncc.engine`) is
+*bit-identical observable behaviour*: same realizations, same knowledge,
+same metrics, same raised errors.  These tests drive full protocols —
+degree realization on seeded Erdős–Gallai-feasible sequences, tree
+realization on random Prüfer-derived sequences — under both engines and
+assert the outcomes are equal, and
 additionally that the distributed verdicts agree with the sequential
 ground truth (`sequential/havel_hakimi.py`, `sequential/trees.py`).
 """
@@ -31,13 +30,10 @@ from repro.validation import check_degree_match, check_simple, check_tree
 from repro.workloads import random_graphic_sequence
 
 #: Engine configurations under differential test; every label must be
-#: bit-identical to "reference".  The sharded engine runs at two shard
-#: counts (its acceptance gate: the full suite holds for >= 2 counts).
+#: bit-identical to "reference".
 ENGINE_CONFIGS = {
     "fast": {"engine": "fast"},
     "reference": {"engine": "reference"},
-    "sharded2": {"engine": "sharded", "engine_shards": 2},
-    "sharded3": {"engine": "sharded", "engine_shards": 3},
 }
 ENGINES = tuple(ENGINE_CONFIGS)
 
@@ -96,7 +92,6 @@ class TestDegreeRealizationDifferential:
             assert result.realized
             assert check_simple(result.edges)
             assert check_degree_match(result.edges, demands, net.node_ids)
-            net.close()
         assert_all_match_reference(outcomes)
         # Sequential Havel–Hakimi realizes the same sequence.
         assert havel_hakimi(seq) is not None
@@ -122,7 +117,6 @@ class TestDegreeRealizationDifferential:
             )
             assert result.realized == is_graphic(seq)
             assert result.realized == (havel_hakimi(seq) is not None)
-            net.close()
         assert_all_match_reference(outcomes)
 
 
@@ -150,7 +144,6 @@ class TestTreeRealizationDifferential:
             if len(seq) > 1:
                 assert check_tree(result.edges, net.node_ids)
                 assert check_degree_match(result.edges, demands, net.node_ids)
-            net.close()
         assert_all_match_reference(outcomes)
 
     @settings(max_examples=10, deadline=None)
@@ -166,7 +159,6 @@ class TestTreeRealizationDifferential:
             result = realize_tree(net, demands)
             outcomes[engine] = (result.realized, result.stats)
             assert not result.realized
-            net.close()
         assert_all_match_reference(outcomes)
 
 
@@ -181,7 +173,6 @@ class TestMetricsIdentity:
             table = {v: rng.randrange(n) for v in net.node_ids}
             _, order = run_protocol(net, distributed_sort(net, lambda v: table[v]))
             outcomes[engine] = (net.stats(), order)
-            net.close()
         assert_all_match_reference(outcomes)
 
     @pytest.mark.parametrize("n,seed", [(16, 4), (48, 5)])
@@ -190,7 +181,6 @@ class TestMetricsIdentity:
         for engine, net in nets_for(n, seed).items():
             run_protocol(net, build_bbst(net))
             stats[engine] = net.stats()
-            net.close()
         assert_all_match_reference(stats)
 
     def test_ncc1_variant_identical(self):
@@ -202,7 +192,6 @@ class TestMetricsIdentity:
             table = {v: rng.randrange(24) for v in net.node_ids}
             run_protocol(net, distributed_sort(net, lambda v: table[v]))
             stats[engine] = net.stats()
-            net.close()
         assert_all_match_reference(stats)
 
     def test_knowledge_sets_identical_after_run(self):
@@ -212,5 +201,4 @@ class TestMetricsIdentity:
             table = {v: rng.randrange(20) for v in net.node_ids}
             run_protocol(net, distributed_sort(net, lambda v: table[v]))
             known[engine] = {v: frozenset(s) for v, s in net.known.items()}
-            net.close()
         assert_all_match_reference(known)

@@ -5,9 +5,8 @@ exceptions with the same attributes — and leave the same partial state —
 in strict and defer modes on every engine.  These tests build adversarial
 ``RoundPlan``s right at each boundary and one past it, plus a randomized
 plan fuzzer that cross-checks whole outcomes (inboxes, metrics, errors)
-between engines.  For the multiprocess sharded engine this is also the
-violation/fallback torture path: every boundary overshoot exercises the
-reference replay plus worker resync, at two shard counts.
+between engines.  For the fast engine this is also the violation path:
+every boundary overshoot exercises its reference replay.
 """
 
 from __future__ import annotations
@@ -27,14 +26,11 @@ from repro.ncc.errors import (
     UnknownRecipientError,
 )
 from repro.ncc.message import msg
-from repro.ncc.network import Network, RoundPlan
-from repro.ncc.wire import ColumnarRoundBatch
+from repro.ncc.network import Network
 
 ENGINE_CONFIGS = {
     "fast": {"engine": "fast"},
     "reference": {"engine": "reference"},
-    "sharded2": {"engine": "sharded", "engine_shards": 2},
-    "sharded3": {"engine": "sharded", "engine_shards": 3},
 }
 ENGINES = tuple(ENGINE_CONFIGS)
 MODES = (EnforcementMode.STRICT, EnforcementMode.DEFER)
@@ -62,22 +58,11 @@ def ncc1_pair(n: int, seed: int = 0, **overrides):
     }
 
 
-def run_plan(net: Network, sends, columnar: bool = False):
-    """Deliver one plan; return ("ok", inboxes) or ("err", type, attrs).
-
-    ``columnar=True`` stages the plan as a field-mode
-    :class:`ColumnarRoundBatch` (the engines' native representation,
-    PR 10) instead of an object send list — violations and spills must
-    be bit-identical either way.
-    """
-    if columnar:
-        plan = RoundPlan.from_batch(
-            ColumnarRoundBatch.from_sends(sends, keep_messages=False)
-        )
-    else:
-        plan = net.plan()
-        for src, dst, message in sends:
-            plan.send(src, dst, message)
+def run_plan(net: Network, sends):
+    """Deliver one plan; return ("ok", inboxes) or ("err", type, attrs)."""
+    plan = net.plan()
+    for src, dst, message in sends:
+        plan.send(src, dst, message)
     try:
         inboxes = net.deliver(plan)
     except SendCapExceeded as exc:
@@ -115,7 +100,6 @@ class TestSendCapBoundary:
             targets = ids[1 : 1 + net.send_cap + overshoot]
             sends = [(sender, dst, msg("x")) for dst in targets]
             outcomes[engine] = (run_plan(net, sends), snapshot(net))
-            net.close()
         result = outcomes["fast"][0]
         if overshoot:
             assert result[:2] == ("err", "send")
@@ -136,7 +120,6 @@ class TestRecvCapBoundary:
             senders = ids[1 : 1 + net.recv_cap + overshoot]
             sends = [(s, dst, msg("y")) for s in senders]
             outcomes[engine] = (run_plan(net, sends), snapshot(net))
-            net.close()
         result = outcomes["fast"][0]
         if overshoot:
             assert result[:2] == ("err", "recv")
@@ -162,7 +145,6 @@ class TestRecvCapBoundary:
             assert net.pending_deferred() == overshoot
             drained = net.drain()
             outcomes[engine] = (drained, snapshot(net))
-            net.close()
         assert_all_match_reference(outcomes)
         assert outcomes["fast"][1][3] == 0  # backlog fully drained
 
@@ -185,7 +167,6 @@ class TestRecvCapBoundary:
             assert kinds[:overshoot] == ["first"] * overshoot
             assert kinds[overshoot] == "second"
             outcomes[engine] = snapshot(net)
-            net.close()
         assert_all_match_reference(outcomes)
 
 
@@ -214,7 +195,6 @@ class TestWordBudgetBoundary:
             assert outcomes[engine][0][0] == "ok"
             assert outcomes[engine][1][:2] == ("err", "size")
             assert outcomes[engine][1][2] == max_words + 1
-            net.close()
         assert_all_match_reference(outcomes)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -237,7 +217,6 @@ class TestWordBudgetBoundary:
             assert outcomes[engine][0][0] == "ok"
             assert outcomes[engine][1][:2] == ("err", "size")
             assert outcomes[engine][1][2] == max_words + 1
-            net.close()
         assert_all_match_reference(outcomes)
 
 
@@ -253,12 +232,11 @@ class TestGatingErrors:
                 snapshot(net),
             )
             assert outcomes[engine][0][:2] == ("err", "unknown")
-            net.close()
         assert_all_match_reference(outcomes)
 
     def test_nonscalar_payload_type_error_identical(self):
         """A non-scalar payload raises the same TypeError on every
-        engine (the sharded engine must fall back, not crash a worker)."""
+        engine (the fast engine falls back to the reference replay)."""
         outcomes = {}
         for engine, net in ncc1_pair(8, seed=11).items():
             ids = list(net.node_ids)
@@ -267,7 +245,6 @@ class TestGatingErrors:
                 outcomes[engine] = ("ok",)
             except TypeError as exc:
                 outcomes[engine] = ("type_error", str(exc), snapshot(net))
-            net.close()
         assert outcomes["fast"][0] == "type_error"
         assert_all_match_reference(outcomes)
 
@@ -277,45 +254,6 @@ class TestGatingErrors:
             v = net.node_ids[0]
             outcomes[engine] = (run_plan(net, [(v, v, msg("me"))]), snapshot(net))
             assert outcomes[engine][0][:2] == ("err", "protocol")
-            net.close()
-        assert_all_match_reference(outcomes)
-
-
-class TestColumnarStagedViolations:
-    """Columnar-staged plans (the engines' native representation) hit
-    every budget with the same errors — and the same deferred spills —
-    as object-staged plans, on every engine."""
-
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("family", ["send", "recv", "size"])
-    def test_boundary_overshoot_columnar(self, mode, family):
-        outcomes = {}
-        for engine, net in ncc1_pair(24, seed=9, enforcement=mode).items():
-            ids = list(net.node_ids)
-            if family == "send":
-                sends = [
-                    (ids[0], dst, msg("x"))
-                    for dst in ids[1 : 2 + net.send_cap]
-                ]
-            elif family == "recv":
-                sends = [
-                    (s, ids[0], msg("y"))
-                    for s in ids[1 : 2 + net.recv_cap]
-                ]
-            else:
-                fat = msg(
-                    "fat", ids=tuple(range(2000, 2001 + net.config.max_words))
-                )
-                sends = [(ids[0], ids[1], fat)]
-            outcomes[engine] = (
-                run_plan(net, sends, columnar=True),
-                snapshot(net),
-            )
-            net.close()
-        deferred_recv = (
-            family == "recv" and mode is not EnforcementMode.STRICT
-        )
-        assert outcomes["fast"][0][0] == ("ok" if deferred_recv else "err")
         assert_all_match_reference(outcomes)
 
 
@@ -358,47 +296,5 @@ class TestPlanFuzz:
                     log.append(result)
                     break  # network state after an error is final
             outcomes[engine] = (log, snapshot(net), net.stats())
-            net.close()
         assert_all_match_reference(outcomes)
 
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        mode=st.sampled_from(MODES),
-        rounds=st.integers(1, 5),
-    )
-    def test_random_plans_equivalent_columnar_staged(self, seed, mode, rounds):
-        """The same random scripts, staged as columnar batches."""
-        rng = random.Random(seed)
-        nets = ncc1_pair(24, seed=seed % 89, enforcement=mode)
-        script = []
-        ids = list(nets["fast"].node_ids)
-        for _ in range(rounds):
-            plan = []
-            for _ in range(rng.randrange(0, 30)):
-                src = rng.choice(ids)
-                dst = rng.choice(ids)
-                payload_ids = tuple(
-                    rng.choice(ids) for _ in range(rng.randrange(0, 3))
-                )
-                data = tuple(
-                    rng.randrange(0, 1 << 80)
-                    for _ in range(rng.randrange(0, 3))
-                )
-                plan.append((src, dst, msg("f", ids=payload_ids, data=data)))
-            script.append(plan)
-
-        outcomes = {}
-        for engine, net in nets.items():
-            log = []
-            for plan in script:
-                result = run_plan(net, plan, columnar=True)
-                if result[0] == "ok":
-                    log.append(("ok", result[1]))
-                else:
-                    log.append(result)
-                    break
-            outcomes[engine] = (log, snapshot(net), net.stats())
-            net.close()
-        assert_all_match_reference(outcomes)

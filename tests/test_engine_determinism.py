@@ -18,8 +18,7 @@ from repro.core.degree_realization import realize_degree_sequence
 from repro.core.tree_realization import realize_tree
 from repro.ncc.config import NCCConfig, Variant
 from repro.ncc.message import msg
-from repro.ncc.network import Network, RoundPlan
-from repro.ncc.wire import ColumnarRoundBatch
+from repro.ncc.network import Network
 from repro.primitives.protocol import run_protocol
 from repro.primitives.sorting import distributed_sort
 from repro.workloads import random_graphic_sequence, random_tree_sequence
@@ -27,8 +26,6 @@ from repro.workloads import random_graphic_sequence, random_tree_sequence
 ENGINE_CONFIGS = {
     "fast": {"engine": "fast"},
     "reference": {"engine": "reference"},
-    "sharded2": {"engine": "sharded", "engine_shards": 2},
-    "sharded3": {"engine": "sharded", "engine_shards": 3},
 }
 ENGINES = tuple(ENGINE_CONFIGS)
 
@@ -56,7 +53,6 @@ def test_sorting_stats_byte_identical(engine, variant, n, seed):
         table = {v: rng.randrange(n) for v in net.node_ids}
         _, order = run_protocol(net, distributed_sort(net, lambda v: table[v]))
         snapshots.append((order, net.stats()))
-        net.close()
     assert snapshots[0][0] == snapshots[1][0]
     assert snapshots[0][1] == snapshots[1][1]
     assert repr(snapshots[0][1]).encode() == repr(snapshots[1][1]).encode()
@@ -71,7 +67,6 @@ def test_degree_realization_byte_identical(engine, n, seed):
         net = fresh_net(n, seed, Variant.NCC0, engine)
         result = realize_degree_sequence(net, dict(zip(net.node_ids, seq)))
         snapshots.append(result)
-        net.close()
     assert snapshots[0] == snapshots[1]
     assert repr(snapshots[0].stats).encode() == repr(snapshots[1].stats).encode()
     assert snapshots[0].edges == snapshots[1].edges
@@ -86,7 +81,6 @@ def test_tree_realization_byte_identical(engine, n, seed):
         net = fresh_net(n, seed, Variant.NCC0, engine)
         result = realize_tree(net, dict(zip(net.node_ids, seq)))
         snapshots.append(result)
-        net.close()
     assert snapshots[0] == snapshots[1]
     assert repr(snapshots[0].stats).encode() == repr(snapshots[1].stats).encode()
 
@@ -102,16 +96,14 @@ def test_engines_agree_with_each_other_deterministically(n, seed):
             table = {v: rng.randrange(n) for v in net.node_ids}
             run_protocol(net, distributed_sort(net, lambda v: table[v]))
             reprs.add(repr(net.stats()))
-            net.close()
-    assert len(reprs) == 1
+        assert len(reprs) == 1
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("n,seed", [(16, 4), (24, 13)])
-def test_columnar_staged_replay_byte_identical(engine, n, seed):
-    """The same columnar-staged random script, run twice on fresh
-    networks, produces byte-identical stats and equal inboxes (the
-    engines' native representation must not leak nondeterminism)."""
+def test_random_script_replay_byte_identical(engine, n, seed):
+    """The same random send script, run twice on fresh networks,
+    produces byte-identical stats and equal inboxes."""
     snapshots = []
     for _ in range(2):
         net = fresh_net(n, seed, Variant.NCC1, engine)
@@ -126,11 +118,7 @@ def test_columnar_staged_replay_byte_identical(engine, n, seed):
                     (src, dst, msg("d", ids=(rng.choice(ids),),
                                    data=(rng.randrange(0, 1 << 60),)))
                 )
-            plan = RoundPlan.from_batch(
-                ColumnarRoundBatch.from_sends(sends, keep_messages=False)
-            )
-            inboxes = net.deliver(plan)
+            inboxes = net.step(sends)
             log.append(sorted((d, list(b)) for d, b in inboxes.items()))
         snapshots.append((log, repr(net.stats())))
-        net.close()
     assert snapshots[0] == snapshots[1]

@@ -405,7 +405,6 @@ class TestExecutorTracing:
         assert net.round_observer is not None
         net.reset()
         assert net.round_observer is None
-        net.close()
 
 
 class TestProcessTracing:

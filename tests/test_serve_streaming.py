@@ -24,13 +24,13 @@ import pytest
 
 import repro.service.executor as executor_module
 from repro.ncc.config import NCCConfig
+from repro.ncc.network import Network
 from repro.service import (
     BatchExecutor,
     FaultPlan,
     FaultRule,
     NetworkPool,
     RealizationRequest,
-    ServiceError,
     default_registry,
     serve,
 )
@@ -447,47 +447,27 @@ class TestWordCacheBound:
         assert message_module.word_cache_evictions(48) - before == 6
         assert message_module.word_cache_evictions() >= 6
 
+    def test_eviction_counter_counts_fast_engine_rounds(self, monkeypatch):
+        """The fast engine's once-per-round trim lands in
+        ``word_cache_evictions`` for the network's word width."""
+        import repro.ncc.message as message_module
 
-class TestShardsValidation:
-    def test_cli_rejects_out_of_range_shards(self):
-        from repro.__main__ import main
-
-        with pytest.raises(SystemExit, match="--shards must be >= 1"):
-            main(["realize", "--degrees", "3,3,2,2", "--fast",
-                  "--engine", "sharded", "--shards", "0"])
-        with pytest.raises(SystemExit, match="exceeds the network size"):
-            main(["realize", "--degrees", "3,3,2,2", "--fast",
-                  "--engine", "sharded", "--shards", "9"])
-
-    def test_cli_default_shards_still_clamp(self, capsys):
-        """No explicit --shards: tiny networks keep working (engine
-        default, clamped) instead of erroring on the default of 2."""
-        from repro.__main__ import main
-
-        assert main(["tree", "--degrees", "1,1", "--fast",
-                     "--engine", "sharded"]) == 0
-        assert "REALIZED" in capsys.readouterr().out
-
-    def test_config_rejects_nonpositive_shards(self):
-        with pytest.raises(ValueError, match="engine_shards"):
-            NCCConfig(engine_shards=0)
-        with pytest.raises(ValueError, match="engine_shards"):
-            NCCConfig(engine_shards=-2)
-        with pytest.raises(ValueError, match="engine_shards"):
-            NCCConfig(engine_shards=True)  # True == 1 must not slip through
-
-    def test_request_rejects_shards_above_n(self):
-        with pytest.raises(ServiceError, match="cannot exceed n"):
-            req(n=8, engine="sharded", shards=9).validate()
-        req(n=8, engine="sharded", shards=8).validate()
-        # Only the sharded engine consumes the knob; a stray value on an
-        # in-process engine stays neutralised (and cache-key-invisible).
-        req(n=8, shards=9).validate()
+        monkeypatch.setattr(message_module, "_WORD_CACHES", {})
+        monkeypatch.setattr(message_module, "_WORD_CACHE_EVICTIONS", {})
+        net = Network(8, NCCConfig(seed=0))
+        int_cache, _ = message_module.word_caches(net.word_bits)
+        int_cache.update({i: 1 for i in range(12)})
+        monkeypatch.setattr(message_module, "_WORD_CACHE_LIMIT", 8)
+        before = message_module.word_cache_evictions(net.word_bits)
+        net.idle_round()
+        evicted = message_module.word_cache_evictions(net.word_bits) - before
+        assert evicted == 8  # 12 entries trimmed to half the bound of 8
+        assert message_module.word_cache_evictions() >= evicted
 
 
 class TestWireEnvelopes:
     def test_request_wire_round_trip(self):
-        request = req(seed=5, shards=0, max_rounds=70, request_id="w")
+        request = req(seed=5, max_rounds=70, request_id="w")
         clone = RealizationRequest.from_wire(request.to_wire())
         assert clone == request and hash(clone) == hash(request)
         inline = RealizationRequest(

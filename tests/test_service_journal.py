@@ -52,6 +52,7 @@ from repro.service import (
     retry_after_hint,
     supervisor_policy,
 )
+from repro.ncc.wire import crc32c
 from repro.service import faults
 from repro.service.journal import FSYNC_POLICIES, JournalError
 from repro.service.server import (
@@ -192,6 +193,12 @@ class TestJournalFraming:
         finally:
             journal2.close()
         assert "torn" in capsys.readouterr().err.lower()
+
+    def test_crc32c_known_answer(self):
+        # The CRC-32C (Castagnoli) check value, whole and chained.
+        assert crc32c(b"123456789") == 0xE3069283
+        assert crc32c(b"56789", crc32c(b"1234")) == 0xE3069283
+        assert crc32c(b"") == 0
 
     def test_duplicate_completed_records_first_wins(self, tmp_path):
         path = str(tmp_path / "j.bin")
@@ -347,6 +354,41 @@ class TestRecovery:
             assert journal3.stats()["recovered_incomplete"] == 0
         finally:
             journal3.close()
+
+    def test_incompatible_admission_layout_not_replayed(self, tmp_path, capsys):
+        path = str(tmp_path / "j.bin")
+        journal = RequestJournal(path, fsync="never")
+        journal.append_admitted(make_request("current", key="kc"))
+        journal.close()
+        # An admission written under an older 17-slot request layout (a
+        # ``shards`` slot before ``deadline_ms``).  Decoded positionally
+        # it would read ``shards`` as the deadline, so recovery must skip
+        # it rather than replay it.
+        wire = make_request("old", key="ko").to_wire()
+        slot = RealizationRequest._WIRE_KEYS.index("deadline_ms")
+        old = wire[:slot] + (0,) + wire[slot:]
+        assert len(old) == len(RealizationRequest._WIRE_KEYS) + 1
+        with open(path, "ab") as fh:
+            fh.write(RequestJournal._frame(("admitted", 7, "", -1, "ko", old)))
+
+        journal2 = RequestJournal(path, fsync="never")
+        executor = make_executor(journal=journal2)
+        try:
+            stats = journal2.stats()
+            assert stats["incompatible"] == 1
+            assert stats["recovered_incomplete"] == 1
+            assert [r.request_id for _, _, _, r in journal2.recover().incomplete] == [
+                "current"
+            ]
+            executor.recover_journal()
+            assert executor.stats()["requests_handled"] == 1
+            assert journal2.stats()["incomplete"] == 0
+            assert journal2.replay_idempotent(make_request("x", key="ko")) is None
+        finally:
+            executor.close()
+            journal2.close()
+        err = capsys.readouterr().err
+        assert err.count("incompatible request layout") == 1
 
 
 # --------------------------------------------------------------------- #

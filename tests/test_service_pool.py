@@ -25,10 +25,7 @@ from repro.primitives.sorting import distributed_sort
 from repro.service.pool import NetworkPool
 from repro.workloads import random_graphic_sequence, random_tree_sequence
 
-#: "sharded" runs with the default shard count (2): the reset gate then
-#: also proves the engine's replica-resync path (reset must rebuild the
-#: worker-process state bit-identically, or pooled sharded leases drift).
-ENGINES = ("fast", "reference", "sharded")
+ENGINES = ("fast", "reference")
 
 
 def run_degree(net: Network):

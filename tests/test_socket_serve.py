@@ -38,7 +38,11 @@ from repro.service import (
     serve_socket,
 )
 from repro.service import faults
-from repro.service.server import ADMISSION_REJECTED
+from repro.service.server import (
+    ADMISSION_REJECTED,
+    MAX_LINE_BYTES,
+    REQUEST_TOO_LARGE,
+)
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -383,6 +387,122 @@ class TestSocketServe:
             executor.close()
         assert not thread.is_alive(), "serve_socket did not drain"
         assert holder["counts"] == (2, 1)
+
+
+class TestLineLimit:
+    def test_long_line_under_limit_is_served(self):
+        padded = json.dumps(
+            {"request_id": "p" * 120_000, "kind": "degree_implicit",
+             "scenario": "regular", "n": 12, "seed": 1}
+        )
+        assert 120_000 < len(padded) < MAX_LINE_BYTES
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+
+        async def scenario():
+            server = await SocketServer(executor, port=0, window=4).start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port, limit=MAX_LINE_BYTES
+            )
+            await send(writer, padded)
+            row = await recv(reader)
+            await close(writer)
+            server.drain()
+            await server.wait_done()
+            return row
+
+        try:
+            row = run(scenario())
+        finally:
+            executor.close()
+        assert row["verdict"] == "REALIZED"
+        assert row["request_id"] == "p" * 120_000
+
+    def test_over_limit_line_is_typed_and_connection_survives(self):
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+        oversized = json.dumps(
+            {"request_id": "big", "kind": "degree_implicit",
+             "degrees": [2] * (MAX_LINE_BYTES // 3)}
+        )
+        assert len(oversized) > MAX_LINE_BYTES
+
+        async def scenario():
+            server = await SocketServer(executor, port=0, window=4).start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            await send(writer, oversized)
+            await send(writer, line("after", n=12, seed=2))
+            rows = [await recv(reader), await recv(reader)]
+            await send(writer, json.dumps({"request_id": "st", "kind": "stats"}))
+            stats = await recv(reader)
+            await close(writer)
+            server.drain()
+            await server.wait_done()
+            return rows, stats
+
+        try:
+            (too_large, after), stats = run(scenario())
+        finally:
+            executor.close()
+        assert too_large["verdict"] == "ERROR"
+        assert too_large["error_code"] == REQUEST_TOO_LARGE
+        assert after["request_id"] == "after"
+        assert after["verdict"] == "REALIZED"
+        assert stats["server"]["too_large"] == 1
+        assert stats["server"]["handled"] == 2
+        assert stats["executor"]["requests_handled"] == 1
+
+
+class TestRemovedEngineSurface:
+    """``engine="sharded"`` and a ``shards`` field are typed parse
+    errors on every front end."""
+
+    SHARDED = json.dumps(
+        {"request_id": "e", "kind": "degree_implicit", "scenario": "regular",
+         "n": 12, "engine": "sharded"}
+    )
+    SHARDS = json.dumps(
+        {"request_id": "s", "kind": "degree_implicit", "scenario": "regular",
+         "n": 12, "shards": 2}
+    )
+
+    def check(self, rows):
+        engine_row, shards_row = rows
+        assert engine_row["request_id"] == "e"
+        assert engine_row["verdict"] == "ERROR"
+        assert "unknown engine 'sharded'" in engine_row["error"]
+        assert shards_row["request_id"] == "s"
+        assert shards_row["verdict"] == "ERROR"
+        assert "unknown request field(s): ['shards']" in shards_row["error"]
+
+    def test_rejected_over_jsonl_and_socket(self, capsys, monkeypatch):
+        import io
+        import sys as _sys
+
+        from repro.__main__ import main
+
+        monkeypatch.setattr(
+            _sys, "stdin", io.StringIO(self.SHARDED + "\n" + self.SHARDS + "\n")
+        )
+        assert main(["batch", "-"]) == 1
+        out = capsys.readouterr().out
+        self.check([json.loads(row) for row in out.splitlines()])
+
+        executor = BatchExecutor(pool=NetworkPool(), registry=default_registry())
+
+        async def scenario():
+            server = await SocketServer(executor, port=0, window=4).start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            await send(writer, self.SHARDED)
+            await send(writer, self.SHARDS)
+            rows = [await recv(reader), await recv(reader)]
+            await close(writer)
+            server.drain()
+            await server.wait_done()
+            return rows
+
+        try:
+            self.check(run(scenario()))
+        finally:
+            executor.close()
 
 
 def server_counts_match(rows, handled, errors):
