@@ -8,6 +8,12 @@ final :class:`~repro.ncc.metrics.RoundStats`, and compares it with a
 digest recorded from a known-good revision.  A refactor of a round loop
 must keep every digest unchanged.
 
+The same digests also pin two runtime invariants: the reference engine
+(the executable spec of the fast engine) emits and meters exactly the
+stream the fast engine does, and a protocol that never overdrives a
+receive cap cannot tell unbounded enforcement from the mode it was
+recorded under.
+
 Namespace strings embed a process-wide counter (``fresh_ns``), so each
 case restarts that counter to make its stream independent of test order.
 To re-record after an intentional protocol change, run
@@ -48,9 +54,13 @@ from repro.primitives.range_multicast import range_multicast
 sys.setrecursionlimit(200_000)
 
 
+#: Config overrides applied on top of each case's own (see RUNTIMES).
+_RUNTIME: dict = {}
+
+
 def _recorded(n: int, seed: int, **overrides):
     """A fresh network whose engine hashes every plan it delivers."""
-    net = Network(n, NCCConfig(seed=seed, **overrides))
+    net = Network(n, NCCConfig(seed=seed, **{**overrides, **_RUNTIME}))
     digest = hashlib.sha256()
     inner = net.engine.deliver
 
@@ -272,8 +282,22 @@ GOLDEN = {
 }
 
 
+#: Runtimes every golden stream must reproduce bit for bit.
+RUNTIMES = {
+    "reference-engine": {"engine": "reference"},
+    "unbounded": {"enforcement": EnforcementMode.UNBOUNDED},
+}
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_send_stream_matches_golden(case):
+    assert _digest(case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("runtime", sorted(RUNTIMES))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_send_stream_is_runtime_invariant(case, runtime, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "_RUNTIME", RUNTIMES[runtime])
     assert _digest(case) == GOLDEN[case]
 
 

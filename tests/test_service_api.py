@@ -126,6 +126,40 @@ class TestRequestEnvelope:
         with pytest.raises(ServiceError, match=fragment):
             RealizationRequest.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "field,value,fragment",
+        [
+            ("max_rounds", 0, "max_rounds"),
+            ("max_rounds", -5, "max_rounds"),
+            ("max_rounds", True, "max_rounds"),
+            ("max_rounds", "10", "max_rounds"),
+            ("deadline_ms", 0, "deadline_ms"),
+            ("deadline_ms", 1.5, "deadline_ms"),
+            ("deadline_ms", False, "deadline_ms"),
+            ("idempotency_key", "", "idempotency_key"),
+            ("idempotency_key", 7, "idempotency_key"),
+            ("request_id", 12, "request_id"),
+            ("engine", 1, "engine"),
+            ("tree_variant", "widest", "tree_variant"),
+            ("explicit_envelope", "yes", "explicit_envelope"),
+            ("repairs", -1, "repairs"),
+        ],
+    )
+    def test_budget_identity_and_option_fields_rejected(self, field, value, fragment):
+        payload = {"kind": "tree", "degrees": [2, 1, 1], field: value}
+        with pytest.raises(ServiceError, match=fragment):
+            RealizationRequest.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("max_rounds", 1), ("deadline_ms", 1), ("idempotency_key", "k"),
+         ("tree_variant", "max"), ("repairs", 0)],
+    )
+    def test_smallest_valid_values_accepted(self, field, value):
+        payload = {"kind": "tree", "degrees": [2, 1, 1], field: value}
+        request = RealizationRequest.from_dict(payload)
+        assert RealizationRequest.from_dict(request.to_dict()) == request
+
     def test_malformed_fields_become_error_responses_in_serve(self):
         lines = "\n".join(
             [
