@@ -7,7 +7,7 @@ Markdown code fences.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ncc.errors import ProtocolError
 from repro.ncc.network import Network
@@ -54,7 +54,7 @@ from repro.primitives.broadcast import global_broadcast
 from repro.primitives.butterfly import ColGroup
 from repro.primitives.groups import token_collect
 from repro.primitives.prefix import prefix_sums
-from repro.primitives.protocol import Proto, fresh_ns, ns_state, run_protocol
+from repro.primitives.protocol import Proto, ns_state, run_protocol
 from repro.primitives.sorting import distributed_sort
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict, deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List
 
 from repro.ncc.config import Variant
 from repro.ncc.errors import ProtocolError

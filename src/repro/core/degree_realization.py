@@ -25,8 +25,7 @@ Lemma 10 bounds the number of phases by ``O(min{√m, Δ})``; each phase is
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.ncc.errors import ProtocolError
 from repro.ncc.network import Network
@@ -38,7 +37,6 @@ from repro.core.result import (
 )
 from repro.primitives.bbst import build_indexed_path
 from repro.primitives.broadcast import global_aggregate, global_broadcast
-from repro.primitives.path_ops import build_undirected_path
 from repro.primitives.protocol import Proto, fresh_ns, ns_state, run_protocol
 from repro.primitives.range_multicast import range_multicast
 from repro.primitives.sorting import distributed_sort

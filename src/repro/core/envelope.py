@@ -15,13 +15,10 @@ promises an *explicit* realization).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict
 
 from repro.ncc.network import Network
-from repro.core.degree_realization import (
-    degree_realization_protocol,
-    realize_degree_sequence,
-)
+from repro.core.degree_realization import realize_degree_sequence
 from repro.core.explicit import realize_degree_sequence_explicit
 from repro.core.result import RealizationResult
 

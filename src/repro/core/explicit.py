@@ -19,7 +19,7 @@ endpoint.  Two interchangeable mechanisms:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ncc.config import EnforcementMode
 from repro.ncc.errors import ProtocolError

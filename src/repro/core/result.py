@@ -8,8 +8,8 @@ message statistics for the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ncc.metrics import RoundStats
 

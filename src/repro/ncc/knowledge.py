@@ -16,8 +16,6 @@ from __future__ import annotations
 import random
 from typing import Dict, Sequence, Set
 
-from repro.ncc.ids import IdSpace
-
 KnowledgeGraph = Dict[int, Set[int]]
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 

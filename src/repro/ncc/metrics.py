@@ -9,7 +9,7 @@ report flat (or decaying) ratio curves as evidence of reproduction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 

@@ -46,7 +46,7 @@ from typing import (
     Tuple,
 )
 
-from repro.ncc.config import DEFAULT_CONFIG, NCCConfig, Variant
+from repro.ncc.config import DEFAULT_CONFIG, NCCConfig
 from repro.ncc.engine import make_engine
 from repro.ncc.errors import DeadlineExceeded, RoundBudgetExceeded
 from repro.ncc.ids import IdSpace

@@ -39,7 +39,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.ncc.errors import ProtocolError
-from repro.ncc.message import Message, msg
+from repro.ncc.message import Message
 from repro.ncc.network import Network
 from repro.primitives.path_ops import build_undirected_path
 from repro.primitives.protocol import (

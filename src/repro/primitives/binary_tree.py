@@ -16,7 +16,7 @@ rewired as levels progress), ``parent``, ``left``, ``right``, ``done``.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.ncc.errors import ProtocolError
 from repro.ncc.message import msg

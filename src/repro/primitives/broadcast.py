@@ -12,7 +12,7 @@ in the paper where the root is the head of ``Gk``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.ncc.errors import ProtocolError
 from repro.ncc.message import msg

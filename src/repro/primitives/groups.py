@@ -9,7 +9,7 @@ begins.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence
 
 from repro.ncc.network import Network
 from repro.primitives.butterfly import (

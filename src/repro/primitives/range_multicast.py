@@ -15,7 +15,7 @@ covered — constant words.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.ncc.errors import ProtocolError
 from repro.ncc.message import msg

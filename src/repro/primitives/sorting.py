@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.ncc.errors import ProtocolError
 from repro.ncc.message import msg
 from repro.ncc.network import Network
-from repro.primitives.bbst import build_bbst, build_levels, controlled_bfs
+from repro.primitives.bbst import build_levels, controlled_bfs
 from repro.primitives.path_ops import build_undirected_path
 from repro.primitives.protocol import (
     Fork,

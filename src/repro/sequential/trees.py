@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
 

@@ -16,18 +16,56 @@ the warm-path layers a long-lived service wants:
   responses are field-identical to fresh ones
   (``RealizationResponse.fingerprint()``; enforced by the tests and the
   service benchmark) and are marked ``cached=True``;
-* in-flight coalescing: concurrent identical requests (same cache key)
-  wait on one execution instead of all running before the cache
-  populates — single-flight in the threaded drain, batch-level dedup in
-  the process drain.
+* in-flight coalescing: identical concurrent requests (same cache key)
+  follow one leader's execution instead of all running before the cache
+  populates.
 
-Three drain modes:
+One request lifecycle
+---------------------
+
+Every entry point drives the same state machine over a job (request,
+cache key, response future, admission deadline, span, journal seq,
+attempt):
+
+admit
+    Journal replay or admission; validation; the deadline is stamped
+    once; a cache hit; or joining the one follower table behind an
+    in-flight leader.
+dispatch
+    Inline in the calling thread; on the lane thread while the circuit
+    breaker is open (in-parent, deterministic, no parallelism); or on
+    the process pool under the hung-worker watchdog.
+recover
+    A dead worker breaks the whole pool and fails every job in flight
+    on it.  The watchdog's culprit is answered ``WORKER_TIMEOUT``; a
+    closed executor answers with the closed envelope; every other
+    victim goes to the *serial recovery lane*, which retries victims one
+    at a time on a fresh pool under the :class:`RetryPolicy` — so a
+    deterministic crasher breaks only its own retry (and earns a typed
+    ``WORKER_CRASHED``) while its innocent co-victims complete.
+complete
+    One critical section pops the followers, updates the counters and
+    caches the response (non-``ERROR`` only).  Then the completion is
+    journaled before any future resolves, latency and stage histograms
+    are recorded, the spans finish, and the leader and its followers
+    resolve.  Followers of a failed leader are sent back to dispatch
+    detached, each under its own admission deadline.
+
+The entry points are call orders over it: :meth:`BatchExecutor.handle`
+is admit + inline dispatch + result; :meth:`BatchExecutor.submit` is
+admit + dispatch, returning the future (already completed in the
+``sequential``/``threads`` modes); :meth:`BatchExecutor.run` in
+``processes`` mode admits the whole batch, dispatches the leaders and
+gathers — duplicates within a batch always coalesce.
+
+Three modes:
 
 ``sequential`` (default)
     One request at a time in the calling thread.
 
 ``threads``
-    A ``ThreadPoolExecutor`` sharing the pool and caches.  Request
+    :meth:`~BatchExecutor.run` handles a batch on a
+    ``ThreadPoolExecutor`` sharing the pool and caches.  Request
     handling is pure Python, so threads buy overlap (and coalescing
     pressure relief), not parallel speedup.
 
@@ -37,19 +75,13 @@ Three drain modes:
     CPU-bound realizer runs truly in parallel, one core per worker.
     Results funnel back through the parent's deterministic response
     cache, so a drained batch is field-identical to the sequential
-    drain.  A worker that dies mid-request (OOM-killed, crashed) fails
-    that request with a typed ``WORKER_CRASHED`` error and the drain
-    recovers on a fresh pool — one bad request cannot wedge the batch.
-    Requests and responses cross the boundary as compact wire envelopes
-    (``to_wire``/``from_wire``), not pickled dataclasses.
+    drain.  Requests and responses cross the boundary as compact wire
+    envelopes (``to_wire``/``from_wire``), not pickled dataclasses.
     ``benchmarks/bench_multiprocess.py`` records the process-vs-thread
     drain ratio.
 
-Beyond batch drains, ``mode="processes"`` executors expose an
-asynchronous :meth:`BatchExecutor.submit` (future per request, same
-cache/coalescing/crash semantics), which :func:`serve` uses to *stream*:
-requests are submitted as their lines arrive and responses are emitted,
-in input order, as futures complete.
+:func:`serve` streams: requests are submitted as their lines arrive and
+responses are emitted, in input order, as futures complete.
 """
 
 from __future__ import annotations
@@ -71,6 +103,8 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
+from concurrent.futures import wait as futures_wait
+from functools import partial
 from queue import Empty, Queue
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -93,7 +127,7 @@ from repro.service.api import (
     ServiceError,
     error_response,
 )
-from repro.service.journal import RequestJournal
+from repro.service.journal import JournalError, RequestJournal
 from repro.service.pool import NetworkPool
 from repro.service.registry import (
     DEFAULT_REGISTRY,
@@ -332,7 +366,14 @@ def _process_worker_init(use_pool: bool, cache_scenarios: bool) -> None:
     Also (re)loads any :mod:`repro.service.faults` plan from the
     environment — the channel that works under both fork and spawn start
     methods, with per-worker fire counters.
+
+    A forked worker inherits the parent's signal wakeup fd and handlers
+    (the asyncio serve loop's): a SIGTERM to the worker — the pool sends
+    one to every survivor when it breaks — would otherwise reach the
+    parent's loop as the parent's own SIGTERM and start a server drain.
     """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     global _WORKER_POOL, _WORKER_REGISTRY, _WORKER_CACHE_SCENARIOS
     _WORKER_POOL = NetworkPool() if use_pool else None
     _WORKER_REGISTRY = default_registry()
@@ -403,33 +444,52 @@ def _process_worker_run(
             code="DEADLINE_EXCEEDED",
         )
     registry = _WORKER_REGISTRY if _WORKER_REGISTRY is not None else DEFAULT_REGISTRY
+    return _lease_and_run(
+        request, _WORKER_POOL, registry, _WORKER_CACHE_SCENARIOS, deadline, span
+    )
+
+
+def _lease_and_run(
+    request: RealizationRequest,
+    pool: Optional[NetworkPool],
+    registry: ScenarioRegistry,
+    use_cache: bool,
+    deadline: Optional[float] = None,
+    span: Optional[Span] = None,
+    phase_histogram: Optional[Histogram] = None,
+) -> RealizationResponse:
+    """Resolve the workload, lease a network (or build one), run.
+
+    The one execution body of the in-parent and the worker-side paths.
+    Never raises — every failure envelopes (the serve loops depend on
+    that).  ``span`` (tracing enabled) gains ``pool.lease`` and ``run``
+    children, and only then does ``phase_histogram`` see the run.
+    """
     try:
-        workload = resolve_workload(
-            request, registry, use_cache=_WORKER_CACHE_SCENARIOS
-        )
+        workload = resolve_workload(request, registry, use_cache=use_cache)
         n, config = request.size, request.config()
-        if _WORKER_POOL is not None:
-            if span is None:
-                with _WORKER_POOL.network(n, config) as net:
-                    return run_request(request, net, workload, registry, deadline)
+        if pool is None:
+            net = Network(n, config)
+        elif span is None:
+            net = pool.lease(n, config)
+        else:
             lease_span = span.child("pool.lease", n=n)
-            net = _WORKER_POOL.lease(n, config)
+            net = pool.lease(n, config)
             lease_span.finish()
-            try:
-                return run_request(
-                    request, net, workload, registry, deadline,
-                    span=span.child("run"),
-                )
-            finally:
-                _WORKER_POOL.release(net)
-        run_span = span.child("run") if span is not None else None
-        return run_request(
-            request, Network(n, config), workload, registry, deadline,
-            span=run_span,
-        )
+        try:
+            if span is None:
+                return run_request(request, net, workload, registry, deadline)
+            return run_request(
+                request, net, workload, registry, deadline,
+                span=span.child("run"), phase_histogram=phase_histogram,
+            )
+        finally:
+            if pool is not None:
+                pool.release(net)
     except ServiceError as exc:
         return error_response(request.request_id, request.kind, str(exc))
-    except Exception as exc:  # pragma: no cover - defensive envelope
+    except Exception as exc:  # last resort: a long-lived serve loop
+        # must envelope even unforeseen failures, not die mid-stream.
         return error_response(
             request.request_id,
             request.kind,
@@ -485,7 +545,7 @@ class _WatchEntry:
     presumed hung (request deadline + grace, or the executor's liveness
     bound); ``None`` means this future is tracked but never killed.  The
     watchdog marks ``timed_out`` *before* killing the pool so the
-    completion paths can tell the culprit (typed ``WORKER_TIMEOUT``, no
+    completion path can tell the culprit (typed ``WORKER_TIMEOUT``, no
     retry) from its innocent co-victims (retried as crash victims).
     """
 
@@ -495,6 +555,55 @@ class _WatchEntry:
         self.kill_at = kill_at
         self.pool = pool
         self.timed_out = False
+
+
+class _Job:
+    """One admitted request on its way through the lifecycle.
+
+    ``out`` is the future the caller holds; ``deadline`` is absolute
+    ``time.monotonic()`` seconds, stamped once at admission; ``key`` is
+    the cache key while the job leads the follower table (``None`` for
+    followers, detached re-dispatches and with the cache off); ``jseq``
+    is the journal's admission seq; ``attempt`` counts pool attempts.
+    """
+
+    __slots__ = ("request", "out", "deadline", "span", "jseq", "started",
+                 "key", "attempt")
+
+    def __init__(self, request, out, deadline, span, jseq) -> None:
+        self.request = request
+        self.out = out
+        self.deadline = deadline
+        self.span = span
+        self.jseq = jseq
+        self.started = time.perf_counter()
+        self.key: Optional[RealizationRequest] = None
+        self.attempt = 1
+
+
+def _closed_envelope(request: RealizationRequest) -> RealizationResponse:
+    return error_response(
+        request.request_id,
+        request.kind,
+        "executor closed while this request was in flight",
+    )
+
+
+def _expired(request: RealizationRequest) -> RealizationResponse:
+    return error_response(
+        request.request_id,
+        request.kind,
+        "wall-clock deadline expired before dispatch",
+        code="DEADLINE_EXCEEDED",
+    )
+
+
+def _drain_failure(request: RealizationRequest, exc: Exception) -> RealizationResponse:
+    return error_response(
+        request.request_id,
+        request.kind,
+        f"process drain failure: {type(exc).__name__}: {exc}",
+    )
 
 
 class BatchExecutor:
@@ -528,17 +637,15 @@ class BatchExecutor:
     mode / workers:
         ``"sequential"``, ``"threads"`` or ``"processes"`` (+ worker
         count) for :meth:`run`.  The process pool spins up lazily on the
-        first multi-request :meth:`run` and persists, warm, until
-        :meth:`close`.
+        first pool dispatch and persists, warm, until :meth:`close`.
     retry_policy:
-        How pool-break victims are retried (defaults to
-        :class:`~repro.service.robustness.RetryPolicy`'s two total
-        attempts with deterministic jittered backoff — the historical
-        single blind retry, now with a pause).
+        How pool-break victims are retried on the serial recovery lane
+        (defaults to :class:`~repro.service.robustness.RetryPolicy`'s
+        two total attempts with deterministic jittered backoff).
     breaker:
         The :class:`~repro.service.robustness.CircuitBreaker` guarding
-        the process pool.  While open, process-mode work degrades to
-        in-parent sequential execution (identical deterministic
+        the process pool.  While open, pool dispatch degrades to
+        in-parent execution on the lane thread (identical deterministic
         responses, no parallelism) instead of feeding a pool that keeps
         breaking; after the cooldown one probe decides whether to close.
     hang_timeout:
@@ -601,37 +708,33 @@ class BatchExecutor:
         self._response_cache: "OrderedDict[RealizationRequest, RealizationResponse]" = (
             OrderedDict()
         )
-        # One lock guards the cache, the in-flight tables and the counters
-        # (threads mode + the async submit path).
+        # One lock guards the cache, the follower table and the counters.
         self._cache_lock = threading.Lock()
-        self._in_flight: Dict[RealizationRequest, threading.Event] = {}
-        # submit(): key -> followers awaiting the in-flight execution.
-        self._in_flight_async: Dict[
-            RealizationRequest, List[Tuple[RealizationRequest, Future]]
-        ] = {}
-        # Guards process-pool creation/replacement and the closed flag:
-        # the async submit path reaches _ensure_process_pool from the
-        # streaming reader thread and from pool callback threads
-        # concurrently.  ``_closed`` distinguishes "close() was called"
+        # The one follower table: cache key of an in-flight leader -> the
+        # jobs that coalesced onto it.
+        self._followers: Dict[RealizationRequest, List[_Job]] = {}
+        # Guards process-pool creation/replacement, the lane and the
+        # closed flag.  ``_closed`` distinguishes "close() was called"
         # from "pool not built yet" so in-flight crash retries cannot
         # resurrect a pool behind a closed executor; the public entry
-        # points (run/submit) re-open.
+        # points (run/submit/handle) re-open.
         self._pool_lock = threading.Lock()
         self._closed = False
         # Frozen close-time stats (see close()/stats()); None while live.
         self._stats_snapshot: Optional[Dict[str, Any]] = None
         self._process_pool: Optional[ProcessPoolExecutor] = None
         self._process_pool_broken = False
-        # Degraded-mode runner (breaker open): a single thread executing
-        # requests in-parent so the async paths never block their
-        # callers.  Built lazily, torn down by close().
-        self._degraded_pool: Optional[ThreadPoolExecutor] = None
+        # The lane: one thread for the serial work of processes mode —
+        # crash-recovery retries, one victim at a time, and in-parent
+        # execution while the breaker is open.  Built lazily, torn down
+        # by close().
+        self._lane: Optional[ThreadPoolExecutor] = None
         # Hung-worker watchdog: in-flight pool futures -> _WatchEntry,
         # scanned by a daemon thread that SIGKILLs pools whose workers
         # outlive their bound (the resulting BrokenProcessPool drives
-        # the ordinary crash-recovery machinery).
+        # the ordinary crash-recovery path).
         self._watch_lock = threading.Lock()
-        self._dispatch: Dict[Future, _WatchEntry] = {}
+        self._watched: Dict[Future, _WatchEntry] = {}
         self._watchdog_stop: Optional[threading.Event] = None
         self.latency = LatencyRecorder()
         # The unified metrics registry is the single source of truth for
@@ -666,13 +769,14 @@ class BatchExecutor:
             "Requests coalesced onto a concurrent identical execution",
         )
         self.worker_crashes = _c(
-            "repro_worker_crashes_total", "Pool workers that died mid-request"
+            "repro_worker_crashes_total",
+            "Process-pool breaks not caused by the watchdog (one per break)",
         )
         self.worker_timeouts = _c(
             "repro_worker_timeouts_total", "Workers killed by the hung-worker watchdog"
         )
         self.retries = _c(
-            "repro_retries_total", "Pool-break co-victim retries"
+            "repro_retries_total", "Pool-break victim retries"
         )
         self.deadline_exceeded = _c(
             "repro_deadline_exceeded_total", "Requests that crossed their deadline"
@@ -709,11 +813,10 @@ class BatchExecutor:
         self.metrics.register_collector("circuit_breaker", self._breaker_metrics)
         self.metrics.register_collector("engine", _engine_metrics)
         # Durability: with a journal attached, every request is written
-        # at admission and completion (handle, submit, and the batch
-        # processes drain all funnel through it); duplicate submissions
-        # carrying an idempotency_key are answered from the journal's
-        # completed record without re-executing.  None (default) keeps
-        # the hot path journal-free — a single attribute check.
+        # at admission and at completion; duplicate submissions carrying
+        # an idempotency_key are answered from the journal's completed
+        # record without re-executing.  None (default) keeps the hot
+        # path journal-free — a single attribute check.
         self.journal = journal
         if journal is not None:
             if journal.fsync_observer is None:
@@ -736,11 +839,11 @@ class BatchExecutor:
     # ---------------------------------------------------------------- #
 
     def close(self) -> None:
-        """Shut down the persistent process pool (idempotent).
+        """Shut down the persistent process pool and the lane (idempotent).
 
-        In-flight async submissions resolve with an "executor closed"
-        error envelope; a later ``run``/``submit``/``handle`` re-opens
-        on a fresh pool.  The counters are *frozen* at close time:
+        In-flight pool jobs resolve with an "executor closed" error
+        envelope; a later ``run``/``submit``/``handle`` re-opens on a
+        fresh pool.  The counters are *frozen* at close time:
         :meth:`stats` on a closed executor reports this snapshot, so a
         front end that reads stats after teardown sees the close-time
         truth instead of counters still drifting from in-flight
@@ -753,18 +856,18 @@ class BatchExecutor:
                 self._stats_snapshot = snapshot
             pool, self._process_pool = self._process_pool, None
             self._process_pool_broken = False
-            degraded, self._degraded_pool = self._degraded_pool, None
+            lane, self._lane = self._lane, None
         with self._watch_lock:
             stop, self._watchdog_stop = self._watchdog_stop, None
-            self._dispatch.clear()
+            self._watched.clear()
         if stop is not None:
             stop.set()
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-        if degraded is not None:
-            # wait (no cancel): queued degraded jobs hold futures that
+        if lane is not None:
+            # wait (no cancel): queued lane jobs hold futures that
             # clients are blocked on; they must resolve, not vanish.
-            degraded.shutdown(wait=True)
+            lane.shutdown(wait=True)
         if self.journal is not None:
             # Durability barrier at teardown: whatever the fsync policy,
             # a closed executor leaves nothing OS-buffered.
@@ -772,9 +875,10 @@ class BatchExecutor:
 
     def _reopen(self) -> None:
         """Public entry points re-open after close(); stats go live again."""
-        with self._pool_lock:
-            self._closed = False
-            self._stats_snapshot = None
+        if self._closed:  # cheap unlocked read; re-opening is rare
+            with self._pool_lock:
+                self._closed = False
+                self._stats_snapshot = None
 
     def __enter__(self) -> "BatchExecutor":
         return self
@@ -803,6 +907,16 @@ class BatchExecutor:
             self._process_pool_broken = False
             return self._process_pool
 
+    def _ensure_lane(self) -> ThreadPoolExecutor:
+        with self._pool_lock:
+            if self._closed:
+                raise _ExecutorClosed("executor is closed")
+            if self._lane is None:
+                self._lane = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="executor-lane"
+                )
+            return self._lane
+
     # ---------------------------------------------------------------- #
     # Hung-worker watchdog                                             #
     # ---------------------------------------------------------------- #
@@ -825,14 +939,14 @@ class BatchExecutor:
             bound = time.monotonic() + self.hang_timeout
             kill_at = bound if kill_at is None else min(kill_at, bound)
         with self._watch_lock:
-            self._dispatch[future] = _WatchEntry(kill_at, pool)
+            self._watched[future] = _WatchEntry(kill_at, pool)
         if kill_at is not None:
             self._ensure_watchdog()
 
     def _watch_pop(self, future: "Future") -> bool:
         """Deregister a completed future; True if the watchdog killed it."""
         with self._watch_lock:
-            entry = self._dispatch.pop(future, None)
+            entry = self._watched.pop(future, None)
         return entry is not None and entry.timed_out
 
     def _ensure_watchdog(self) -> None:
@@ -857,13 +971,13 @@ class BatchExecutor:
         Marking ``timed_out`` happens under the watch lock *before* the
         kill, so the BrokenProcessPool completions that follow can
         attribute the break: the culprit gets ``WORKER_TIMEOUT``, its
-        co-victims go through ordinary crash retry.
+        co-victims go to the recovery lane.
         """
         while not stop.wait(self.watchdog_interval):
             now = time.monotonic()
             culprits: List[ProcessPoolExecutor] = []
             with self._watch_lock:
-                for future, entry in self._dispatch.items():
+                for future, entry in self._watched.items():
                     if (
                         entry.kill_at is not None
                         and not entry.timed_out
@@ -881,11 +995,11 @@ class BatchExecutor:
 
     def _kill_pool(self, pool: ProcessPoolExecutor) -> None:
         """Hard-kill a hung pool's workers; recovery rides the ordinary
-        BrokenProcessPool path (retry co-victims, respawn on demand)."""
+        pool-break path (victims to the lane, respawn on demand)."""
         with self._pool_lock:
             if self._closed:
                 return
-        self._note_pool_break(pool)
+        self._note_pool_break(pool, crash=False)
         procs = getattr(pool, "_processes", None)
         if procs:
             for proc in list(procs.values()):
@@ -896,12 +1010,15 @@ class BatchExecutor:
         else:  # pragma: no cover - no visible worker table: retire it
             pool.shutdown(wait=False, cancel_futures=True)
 
-    def _note_pool_break(self, pool: Optional[ProcessPoolExecutor]) -> None:
-        """Flag ``pool`` broken (identity-guarded) and feed the breaker.
+    def _note_pool_break(
+        self, pool: Optional[ProcessPoolExecutor], crash: bool = True
+    ) -> None:
+        """Flag ``pool`` broken (identity-guarded) and count the break.
 
-        The breaker records one failure per *pool break*, not one per
-        victim: the first caller to flip the broken flag wins, so a
-        crash that fails five in-flight futures costs one breaker count.
+        One break fails every in-flight future of the pool; only the
+        first caller to flip the broken flag counts it — one breaker
+        failure per break, and one ``worker_crashes`` per break the
+        watchdog did not cause (its kills count in ``worker_timeouts``).
         """
         fresh_break = False
         with self._pool_lock:
@@ -913,70 +1030,11 @@ class BatchExecutor:
             ):
                 self._process_pool_broken = True
                 fresh_break = True
-        if fresh_break and self.breaker is not None:
+        if fresh_break:
+            if crash:
+                with self._cache_lock:
+                    self.worker_crashes.inc()
             self.breaker.record_failure()
-
-    # ---------------------------------------------------------------- #
-    # Degraded execution (breaker open)                                #
-    # ---------------------------------------------------------------- #
-
-    def _dispatch_degraded(
-        self,
-        request: RealizationRequest,
-        key: Optional[RealizationRequest],
-        out: "Future",
-        deadline: Optional[float],
-        span: Optional["Span"] = None,
-    ) -> None:
-        """Breaker open: run in-parent on the single degraded thread.
-
-        Responses are deterministic, so a degraded answer is
-        field-identical to a pooled one — the cost is lost parallelism,
-        which beats feeding a pool that keeps breaking.
-        """
-        with self._pool_lock:
-            closed = self._closed
-            if not closed:
-                if self._degraded_pool is None:
-                    self._degraded_pool = ThreadPoolExecutor(
-                        max_workers=1, thread_name_prefix="executor-degraded"
-                    )
-                runner = self._degraded_pool
-        if closed:
-            self._finish_async(
-                request,
-                key,
-                out,
-                error_response(
-                    request.request_id,
-                    request.kind,
-                    "executor closed while this request was in flight",
-                ),
-                resubmit_followers=False,
-                span=span,
-            )
-            return
-        with self._cache_lock:
-            self.degraded_handled.inc()
-        if span is not None:
-            span.tag("degraded", True)
-        runner.submit(self._run_degraded, request, key, out, deadline, span)
-
-    def _run_degraded(
-        self,
-        request: RealizationRequest,
-        key: Optional[RealizationRequest],
-        out: "Future",
-        deadline: Optional[float],
-        span: Optional["Span"] = None,
-    ) -> None:
-        self._finish_async(
-            request,
-            key,
-            out,
-            self._execute(request, deadline, span=span),
-            span=span,
-        )
 
     # ---------------------------------------------------------------- #
     # Observability plumbing                                           #
@@ -995,16 +1053,13 @@ class BatchExecutor:
             pid=os.getpid(),
         )
 
-    def _finish_span(
-        self, span: Span, response: Optional[RealizationResponse]
-    ) -> None:
+    def _finish_span(self, span: Span, response: RealizationResponse) -> None:
         """Tag the outcome on the root span and hand it to the tracer."""
-        if response is not None:
-            span.tag("verdict", response.verdict)
-            if response.cached:
-                span.tag("cached", True)
-            if response.error_code is not None:
-                span.tag("error_code", response.error_code)
+        span.tag("verdict", response.verdict)
+        if response.cached:
+            span.tag("cached", True)
+        if response.error_code is not None:
+            span.tag("error_code", response.error_code)
         self.tracer.collect(span)
 
     def _observe_stages(
@@ -1012,8 +1067,8 @@ class BatchExecutor:
     ) -> None:
         """Split one request's wall time into queue-wait vs execution.
 
-        ``elapsed_sec`` is measured inside the run (worker-side for the
-        process drain — the monotonic clock is system-wide), so
+        ``elapsed_sec`` is measured inside the run (worker-side for
+        pool jobs — the monotonic clock is system-wide), so
         ``total - elapsed`` is the honest everything-before-execution
         remainder: admission, coalescing waits, pool queueing, IPC.
         """
@@ -1054,42 +1109,6 @@ class BatchExecutor:
             ),
         ]
 
-    # ---------------------------------------------------------------- #
-    # Response cache (LRU) and coalescing                              #
-    # ---------------------------------------------------------------- #
-
-    def _cache_lookup(
-        self,
-        key: RealizationRequest,
-        request: RealizationRequest,
-        coalesced: bool = False,
-    ) -> Optional[RealizationResponse]:
-        """LRU lookup; on a hit, counts the request as handled and
-        returns the response re-enveloped for ``request``.
-
-        ``coalesced`` hits (the request waited on an identical in-flight
-        execution) are counted separately from direct cache hits — the
-        two counters are disjoint, matching the process drain's
-        accounting.
-        """
-        with self._cache_lock:
-            hit = self._response_cache.get(key)
-            if hit is None:
-                return None
-            self._response_cache.move_to_end(key)
-            self.requests_handled.inc()
-            self.requests_by_kind.labels(kind=request.kind).inc()
-            if coalesced:
-                self.coalesced_hits.inc()
-            else:
-                self.response_cache_hits.inc()
-        return dataclasses.replace(
-            hit,
-            request_id=request.request_id,
-            cached=True,
-            elapsed_sec=0.0,
-        )
-
     def _cache_store_locked(
         self, key: RealizationRequest, response: RealizationResponse
     ) -> None:
@@ -1101,13 +1120,8 @@ class BatchExecutor:
                 self._response_cache.popitem(last=False)
                 self.response_cache_evictions.inc()
 
-    def _note_code_locked(self, response: RealizationResponse) -> None:
-        """Counter bookkeeping for typed failures (cache lock held)."""
-        if response.error_code == "DEADLINE_EXCEEDED":
-            self.deadline_exceeded.inc()
-
     # ---------------------------------------------------------------- #
-    # Single requests                                                  #
+    # In-parent execution and the journal                              #
     # ---------------------------------------------------------------- #
 
     def _execute(
@@ -1116,64 +1130,17 @@ class BatchExecutor:
         deadline: Optional[float] = None,
         span: Optional[Span] = None,
     ) -> RealizationResponse:
-        """The stateless run: resolve the workload, lease a network, run.
-
-        Never raises — every failure envelopes (the serve loops depend
-        on that).  ``deadline`` is absolute ``time.monotonic()``
-        seconds; an already-expired one short-circuits to a typed
-        ``DEADLINE_EXCEEDED`` without touching a network (the
-        expired-before-dispatch path every drain mode shares).
-
-        ``span`` (tracing enabled) gains ``pool.lease`` and ``run``
-        children — the in-parent mirror of the worker-side subtree —
-        and engine phase timings feed the registry histogram.
-        """
-        try:
-            if deadline is not None and time.monotonic() >= deadline:
-                return error_response(
-                    request.request_id,
-                    request.kind,
-                    "wall-clock deadline expired before dispatch",
-                    code="DEADLINE_EXCEEDED",
-                )
-            workload = resolve_workload(
-                request, self.registry, use_cache=self.cache_scenarios
-            )
-            n, config = request.size, request.config()
-            if self.pool is not None:
-                if span is None:
-                    with self.pool.network(n, config) as net:
-                        return run_request(
-                            request, net, workload, self.registry, deadline
-                        )
-                lease_span = span.child("pool.lease", n=n)
-                net = self.pool.lease(n, config)
-                lease_span.finish()
-                try:
-                    return run_request(
-                        request, net, workload, self.registry, deadline,
-                        span=span.child("run"),
-                        phase_histogram=self.engine_phase_hist,
-                    )
-                finally:
-                    self.pool.release(net)
-            run_span = span.child("run") if span is not None else None
-            return run_request(
-                request, Network(n, config), workload, self.registry,
-                deadline, span=run_span,
-                phase_histogram=(
-                    self.engine_phase_hist if span is not None else None
-                ),
-            )
-        except ServiceError as exc:
-            return error_response(request.request_id, request.kind, str(exc))
-        except Exception as exc:  # last resort: a long-lived serve loop
-            # must envelope even unforeseen failures, not die mid-stream.
-            return error_response(
-                request.request_id,
-                request.kind,
-                f"internal error: {type(exc).__name__}: {exc}",
-            )
+        """The in-parent run (:func:`_lease_and_run` on the executor's
+        pool and registry; never raises).  ``deadline`` is absolute
+        ``time.monotonic()`` seconds; an already-expired one
+        short-circuits to a typed ``DEADLINE_EXCEEDED`` without touching
+        a network.  Traced runs feed the engine phase histogram."""
+        if deadline is not None and time.monotonic() >= deadline:
+            return _expired(request)
+        return _lease_and_run(
+            request, self.pool, self.registry, self.cache_scenarios,
+            deadline, span, self.engine_phase_hist,
+        )
 
     def _journal_replay(
         self, request: RealizationRequest
@@ -1208,105 +1175,285 @@ class BatchExecutor:
             os.kill(os.getpid(), signal.SIGKILL)
         return seq
 
+    # ---------------------------------------------------------------- #
+    # The request lifecycle: admit -> dispatch -> (recover) -> complete #
+    # ---------------------------------------------------------------- #
+
+    def _admit(
+        self,
+        request: RealizationRequest,
+        out: "Future",
+        deadline: Optional[float] = None,
+        session: Optional[Tuple[str, int]] = None,
+    ) -> Optional[_Job]:
+        """Admit one request: the job to dispatch, or ``None`` when
+        admission already answered it (journal replay, validation error,
+        cache hit) or it joined an in-flight leader as a follower.
+
+        The deadline is stamped here once (unless the front end stamped
+        it already), so time spent waiting on a leader, in the pool
+        queue or on the recovery lane counts against it.
+        """
+        jseq = None
+        if self.journal is not None:
+            replayed = self._journal_replay(request)
+            if replayed is not None:
+                out.set_result(replayed)
+                return None
+            jseq = self._journal_admit(request, session)
+        job = _Job(request, out, deadline, self._start_span(request), jseq)
+        try:
+            request.validate()
+        except ServiceError as exc:
+            self._complete(
+                job, error_response(request.request_id, request.kind, str(exc))
+            )
+            return None
+        if job.deadline is None:
+            job.deadline = self._deadline_for(request)
+        if not self.cache_responses:
+            return job
+        key = request.cache_key()
+        with self._cache_lock:
+            hit = self._response_cache.get(key)
+            if hit is None:
+                followers = self._followers.get(key)
+                if followers is None:
+                    self._followers[key] = []
+                    job.key = key
+                    return job
+                followers.append(job)
+                if job.span is not None:
+                    job.span.tag("coalesced", True)
+                return None
+            self._response_cache.move_to_end(key)
+        hit = dataclasses.replace(
+            hit, request_id=request.request_id, cached=True, elapsed_sec=0.0
+        )
+        self._complete(job, hit, cache_hit=True)
+        return None
+
+    def _dispatch(self, job: _Job, inline: bool = False, wait: bool = False) -> None:
+        """Run an admitted job to completion (or hand it on).
+
+        Inline in the calling thread (``handle()``, and every job of the
+        sequential/threads modes); on the lane while the breaker is
+        open; otherwise on the process pool under the watchdog, finishing
+        in the pool's callback thread — or, with ``wait``, in this
+        thread (the recovery lane's serial retries).
+        """
+        request = job.request
+        if inline or self.mode != "processes":
+            self._complete(job, self._execute(request, job.deadline, span=job.span))
+            return
+        if job.deadline is not None and time.monotonic() >= job.deadline:
+            self._complete(job, _expired(request))
+            return
+        pool = None
+        try:
+            if not self.breaker.allow():
+                lane = self._ensure_lane()
+                with self._cache_lock:
+                    self.degraded_handled.inc()
+                if job.span is not None:
+                    job.span.tag("degraded", True)
+                lane.submit(self._dispatch, job, True)
+                return
+            pool = self._ensure_process_pool()
+            future = pool.submit(
+                _process_worker_run_wire,
+                request.to_wire(
+                    trace=job.span.context() if job.span is not None else None
+                ),
+                job.deadline,
+            )
+        except _ExecutorClosed:
+            self._complete(job, _closed_envelope(request), detach=False)
+            return
+        except BrokenExecutor:
+            # The pool broke under this submission before any callback
+            # flagged it: the job is one more victim of that break.
+            self._pool_broke(job, pool, timed_out=False)
+            return
+        except Exception as exc:
+            self._complete(job, _drain_failure(request, exc))
+            return
+        # Watch before the completion can run: _watch_pop must always
+        # find (and clear) the entry, even for an already-done future.
+        self._watch(future, pool, job.deadline)
+        if wait:
+            futures_wait([future])
+            self._pool_done(job, pool, future)
+        else:
+            future.add_done_callback(partial(self._pool_done, job, pool))
+
+    def _pool_done(
+        self, job: _Job, pool: ProcessPoolExecutor, future: "Future"
+    ) -> None:
+        """A pool future finished: decode and complete, or recover."""
+        timed_out = self._watch_pop(future)
+        try:
+            wire = future.result()
+            response = RealizationResponse.from_wire(wire)
+            if job.span is not None:
+                columns = RealizationResponse.wire_spans(wire)
+                if columns is not None:
+                    job.span.adopt(decode_span_columns(columns))
+            self.breaker.record_success()
+        except (BrokenExecutor, CancelledError):
+            # CancelledError (a pool replacement or close() cancels
+            # pending futures) is a BaseException: without catching it
+            # here the job's future would never resolve.
+            self._pool_broke(job, pool, timed_out)
+            return
+        except Exception as exc:  # transport/pickling failure
+            response = _drain_failure(job.request, exc)
+        self._complete(job, response)
+
+    def _pool_broke(
+        self, job: _Job, pool: Optional[ProcessPoolExecutor], timed_out: bool
+    ) -> None:
+        """The job's pool broke under it.
+
+        A closed executor answers with the closed envelope (and does not
+        resubmit followers: they would rebuild a pool nothing shuts
+        down).  The watchdog's culprit gets ``WORKER_TIMEOUT`` — a retry
+        would hang again.  Any other victim goes to the serial recovery
+        lane until ``retry_policy.max_attempts`` is spent, then gets
+        ``WORKER_CRASHED``.
+        """
+        request = job.request
+        if self._closed:
+            self._complete(job, _closed_envelope(request), detach=False)
+            return
+        self._note_pool_break(pool)
+        if job.span is not None:
+            job.span.child(
+                "crash_recovery", attempt=job.attempt, timed_out=timed_out
+            ).finish()
+        if timed_out:
+            self._complete(job, error_response(
+                request.request_id,
+                request.kind,
+                "worker exceeded its wall-clock bound and was killed "
+                "by the watchdog",
+                code="WORKER_TIMEOUT",
+            ))
+        elif job.attempt >= self.retry_policy.max_attempts:
+            self._complete(job, error_response(
+                request.request_id,
+                request.kind,
+                "worker process died while executing this request",
+                code="WORKER_CRASHED",
+            ))
+        else:
+            try:
+                self._ensure_lane().submit(self._retry, job)
+            except RuntimeError:  # closed, or the lane shut down under us
+                self._complete(job, _closed_envelope(request), detach=False)
+
+    def _retry(self, job: _Job) -> None:
+        """The serial recovery lane: retry one victim, alone, on a fresh
+        pool after the policy's backoff.  A deterministic crasher then
+        breaks only its own retry; innocent co-victims complete."""
+        job.attempt += 1
+        with self._cache_lock:
+            self.retries.inc()
+        delay = self.retry_policy.delay_sec(job.attempt)
+        if delay > 0:
+            time.sleep(delay)
+        self._dispatch(job, wait=True)
+
+    def _complete(
+        self,
+        job: _Job,
+        response: RealizationResponse,
+        cache_hit: bool = False,
+        detach: bool = True,
+    ) -> None:
+        """The one completion, for every job and every outcome.
+
+        One critical section pops the job's followers, updates the
+        counters and caches the response (non-``ERROR`` only: an error
+        may reflect a transient failure, not the request) — a window
+        between pop and store would let an identical request slip past
+        both the cache and the follower table.  Then, in order: journal
+        every completion before any future resolves, record latency and
+        stage histograms, finish the spans, and resolve the leader and
+        its followers.  Followers of a failed leader are never handed
+        the failure: they go back to dispatch detached, each under its
+        own admission deadline — unless ``detach`` is off (executor
+        closed), in which case they share the leader's envelope.
+        """
+        ok = response.verdict != "ERROR"
+        kind = job.request.kind
+        with self._cache_lock:
+            followers = self._followers.pop(job.key, []) if job.key is not None else []
+            answered = 1 + (len(followers) if ok or not detach else 0)
+            self.requests_handled.inc(answered)
+            self.requests_by_kind.labels(kind=kind).inc(answered)
+            if cache_hit:
+                self.response_cache_hits.inc()
+            if ok:
+                self.coalesced_hits.inc(len(followers))
+                if job.key is not None:
+                    self._cache_store_locked(job.key, response)
+            elif response.error_code == "DEADLINE_EXCEEDED":
+                self.deadline_exceeded.inc()
+        answers = [(job, response)]
+        if ok:
+            answers += [
+                (f, dataclasses.replace(
+                    response, request_id=f.request.request_id,
+                    cached=True, elapsed_sec=0.0,
+                ))
+                for f in followers
+            ]
+        elif not detach:
+            answers += [
+                (f, dataclasses.replace(response, request_id=f.request.request_id))
+                for f in followers
+            ]
+        if self.journal is not None:
+            for j, answer in answers:
+                if j.jseq is not None and not j.out.cancelled():
+                    try:
+                        self.journal.append_completed(j.jseq, answer)
+                    except JournalError:  # closed under us: stays
+                        pass  # incomplete, recovery re-executes it
+        now = time.perf_counter()
+        for j, answer in answers:
+            total = now - j.started
+            self.latency.record(total)
+            self._observe_stages(total, answer)
+            if j.span is not None:
+                self._finish_span(j.span, answer)
+        for j, answer in answers:
+            _resolve_future(j.out, answer)
+        if not ok and detach:
+            for follower in followers:
+                self._dispatch(follower)
+
+    # ---------------------------------------------------------------- #
+    # Entry points                                                     #
+    # ---------------------------------------------------------------- #
+
     def handle(
         self,
         request: RealizationRequest,
         session: Optional[Tuple[str, int]] = None,
     ) -> RealizationResponse:
-        """One request through the full warm path: validate, consult the
-        cache, coalesce onto an identical in-flight execution, or run.
-
-        A request carrying ``deadline_ms`` starts its wall clock here
-        (arrival), so time spent waiting on a coalesced leader counts
-        against the deadline too.
-
-        With a journal attached the request is journaled at admission
-        (before any work, tagged with its ``session`` slot when the
-        socket server supplies one) and again at completion; duplicate
-        submissions with a known ``idempotency_key`` short-circuit to
-        the journaled response.
-        """
-        if self.journal is not None:
-            replayed = self._journal_replay(request)
-            if replayed is not None:
-                return replayed
-            jseq = self._journal_admit(request, session)
-            # ERROR envelopes complete too: the journal records what was
-            # *answered*, not just what succeeded — a replayed session
-            # must see the same stream.  If the core raises (it returns
-            # error envelopes instead, so this means a genuine crash)
-            # the record stays incomplete and recovery re-executes it.
-            response = self._handle_core(request)
-            self.journal.append_completed(jseq, response)
-            return response
-        return self._handle_core(request)
-
-    def _handle_core(self, request: RealizationRequest) -> RealizationResponse:
-        if self._closed:  # cheap unlocked read; re-opening is rare
-            self._reopen()
-        started = time.perf_counter()
-        key: Optional[RealizationRequest] = None
-        leader = False
-        span = self._start_span(request)
-        response: Optional[RealizationResponse] = None
-        try:
-            try:
-                request.validate()
-            except ServiceError as exc:
-                with self._cache_lock:
-                    self.requests_handled.inc()
-                    self.requests_by_kind.labels(kind=request.kind).inc()
-                response = error_response(
-                    request.request_id, request.kind, str(exc)
-                )
-                return response
-            deadline = self._deadline_for(request)
-            if self.cache_responses:
-                key = request.cache_key()
-                hit = self._cache_lookup(key, request)
-                if hit is not None:
-                    response = hit
-                    return hit
-                # Single-flight: exactly one thread computes a key;
-                # identical concurrent requests wait and then read
-                # the cache.  A leader that failed (ERROR responses
-                # are not cached) leaves followers to retry the
-                # election so the request still gets a real attempt.
-                while True:
-                    with self._cache_lock:
-                        flight = self._in_flight.get(key)
-                        if flight is None:
-                            self._in_flight[key] = threading.Event()
-                            leader = True
-                            break
-                    flight.wait()
-                    hit = self._cache_lookup(key, request, coalesced=True)
-                    if hit is not None:
-                        response = hit
-                        return hit
-            response = self._execute(request, deadline, span=span)
-            with self._cache_lock:
-                self.requests_handled.inc()
-                self.requests_by_kind.labels(kind=request.kind).inc()
-                self._note_code_locked(response)
-                # Cache successful computations only: an ERROR may reflect
-                # a transient environment failure (e.g. memory pressure),
-                # which must not be replayed forever for a deterministic
-                # key.
-                if key is not None and response.verdict != "ERROR":
-                    self._cache_store_locked(key, response)
-            return response
-        finally:
-            if leader:
-                with self._cache_lock:
-                    event = self._in_flight.pop(key, None)
-                if event is not None:
-                    event.set()
-            total = time.perf_counter() - started
-            self.latency.record(total)
-            self._observe_stages(total, response)
-            if span is not None:
-                self._finish_span(span, response)
+        """One request, synchronously, executed in the calling thread:
+        admit, then inline dispatch.  A follower of an identical
+        in-flight request waits for its leader instead.  ``session`` is
+        the socket server's session slot for the journal's admitted
+        record."""
+        self._reopen()
+        out: Future = Future()
+        job = self._admit(request, out, session=session)
+        if job is not None:
+            self._dispatch(job, inline=True)
+        return out.result()
 
     def handle_dict(self, payload: Mapping[str, Any]) -> RealizationResponse:
         """Parse + handle one JSON-style request dict."""
@@ -1315,31 +1462,19 @@ class BatchExecutor:
             return parsed
         return self.handle(parsed)
 
-    # ---------------------------------------------------------------- #
-    # Asynchronous single requests (the streaming serve front end)     #
-    # ---------------------------------------------------------------- #
-
     def submit(self, request: RealizationRequest) -> "Future":
         """One request, asynchronously: a ``Future[RealizationResponse]``.
 
-        The streaming ``serve --mode processes`` front end submits each
-        request as its line arrives and emits responses as the futures
-        complete.  Semantics mirror :meth:`handle` /
-        :meth:`_run_processes`: validation failures and cache hits
-        resolve immediately; identical concurrent requests coalesce onto
-        one in-flight execution (followers resolve to ``cached=True``
-        copies; failures are never shared — each follower then gets its
-        own attempt); a crashed worker earns its request a typed
-        ``WORKER_CRASHED`` error after one retry on a fresh pool.  In
-        ``sequential``/``threads`` mode the request executes in the
-        calling thread and an already-completed future comes back.
+        Admission answers validation failures and cache hits at once;
+        identical concurrent requests coalesce onto one execution; in
+        ``processes`` mode the leader runs on the pool and a pool break
+        sends it to the recovery lane (typed ``WORKER_CRASHED`` once the
+        retries are spent).  In ``sequential``/``threads`` mode the
+        request executes in the calling thread and an already-completed
+        future comes back.
         """
-        out: Future = Future()
-        if self.mode != "processes":
-            out.set_result(self.handle(request))
-            return out
-        self._reopen()  # public entry re-opens after close()
-        return self._submit(request, out)
+        self._reopen()
+        return self._submit(request, Future())
 
     def _submit(
         self,
@@ -1348,743 +1483,37 @@ class BatchExecutor:
         deadline: Optional[float] = None,
         session: Optional[Tuple[str, int]] = None,
     ) -> "Future":
-        """The :meth:`submit` body without the re-open: internal callers
-        (the streaming serve pump) must not resurrect a closed executor
-        — a racing ``close()`` resolves their futures with the closed
-        envelope instead.  ``deadline`` lets front ends stamp arrival
-        time themselves (the socket server stamps at admission); by
-        default the request's ``deadline_ms`` clock starts here."""
-        if self.journal is not None:
-            replayed = self._journal_replay(request)
-            if replayed is not None:
-                out.set_result(replayed)
-                return out
-            jseq = self._journal_admit(request, session)
-            journal = self.journal
-
-            def _journal_done(f: "Future") -> None:
-                try:  # CancelledError is a BaseException since 3.8
-                    response = f.result(timeout=0)
-                except BaseException:
-                    return  # no response answered -> stays incomplete
-                journal.append_completed(jseq, response)
-
-            out.add_done_callback(_journal_done)
-        started = time.perf_counter()
-        span = self._start_span(request)
-
-        def _record(f: "Future") -> None:
-            total = time.perf_counter() - started
-            self.latency.record(total)
-            try:  # CancelledError is a BaseException since 3.8
-                response = f.result(timeout=0)
-            except BaseException:
-                response = None
-            self._observe_stages(total, response)
-
-        out.add_done_callback(_record)
-        try:
-            request.validate()
-        except ServiceError as exc:
-            with self._cache_lock:
-                self.requests_handled.inc()
-                self.requests_by_kind.labels(kind=request.kind).inc()
-            response = error_response(request.request_id, request.kind, str(exc))
-            if span is not None:
-                self._finish_span(span, response)
-            out.set_result(response)
-            return out
-        if deadline is None:
-            deadline = self._deadline_for(request)
-        key = request.cache_key() if self.cache_responses else None
-        if key is not None:
-            hit = self._cache_lookup(key, request)
-            if hit is not None:
-                if span is not None:
-                    self._finish_span(span, hit)
-                out.set_result(hit)
-                return out
-            with self._cache_lock:
-                followers = self._in_flight_async.get(key)
-                if followers is not None:
-                    followers.append((request, out))
-                    if span is not None:
-                        # Followers ride their leader's execution; their
-                        # own span covers admission only.
-                        span.tag("coalesced", True)
-                        self._finish_span(span, None)
-                    return out
-                self._in_flight_async[key] = []
-        self._submit_async(
-            request, key, out, attempt=1, deadline=deadline, span=span
-        )
+        """:meth:`submit` without the re-open: internal callers (the
+        serve loops) must not resurrect a closed executor — a racing
+        ``close()`` resolves their futures with the closed envelope
+        instead.  ``deadline`` lets front ends stamp arrival time
+        themselves (the socket server stamps at admission)."""
+        job = self._admit(request, out, deadline, session)
+        if job is not None:
+            self._dispatch(job)
         return out
 
-    def _submit_async(
-        self,
-        request: RealizationRequest,
-        key: Optional[RealizationRequest],
-        out: "Future",
-        attempt: int = 1,
-        deadline: Optional[float] = None,
-        span: Optional[Span] = None,
-    ) -> None:
-        """Ship one leader job to the worker pool (wire-encoded).
-
-        ``attempt`` is 1-based; pool breaks resubmit with ``attempt+1``
-        until ``retry_policy.max_attempts``, pausing the policy's
-        backoff between attempts.  With tracing on, ``span`` rides
-        along: its context ships in the wire envelope so the worker's
-        subtree comes back attached to the response.
-        """
-        if deadline is None and request.deadline_ms is not None:
-            # Follower resubmissions arrive without their leader's
-            # stamp; their wall clock restarts at detachment.
-            deadline = self._deadline_for(request)
-        if deadline is not None and time.monotonic() >= deadline:
-            self._finish_async(
-                request,
-                key,
-                out,
-                error_response(
-                    request.request_id,
-                    request.kind,
-                    "wall-clock deadline expired before dispatch",
-                    code="DEADLINE_EXCEEDED",
-                ),
-                span=span,
-            )
-            return
-        if self.breaker is not None and not self.breaker.allow():
-            self._dispatch_degraded(request, key, out, deadline, span)
-            return
-        pool = None
-        try:
-            # _ensure_process_pool re-checks the closed flag under the
-            # pool lock, so a crash retry (or follower resubmission)
-            # racing close() lands in the _ExecutorClosed envelope
-            # below instead of rebuilding a pool nothing would ever
-            # shut down.
-            pool = self._ensure_process_pool()
-            future = pool.submit(
-                _process_worker_run_wire,
-                request.to_wire(
-                    trace=span.context() if span is not None else None
-                ),
-                deadline,
-            )
-        except _ExecutorClosed:
-            self._finish_async(
-                request,
-                key,
-                out,
-                error_response(
-                    request.request_id,
-                    request.kind,
-                    "executor closed while this request was in flight",
-                ),
-                resubmit_followers=False,
-                span=span,
-            )
-            return
-        except BrokenExecutor:
-            # The pool broke under a concurrent submission before its
-            # crasher's callback flagged it; retry on a fresh pool like
-            # the batch drain instead of failing an innocent request.
-            # Same pool-identity guard as _async_done: only flag the
-            # pool this submission actually used, never a healthy
-            # replacement another thread already built.
-            self._note_pool_break(pool)
-            with self._cache_lock:  # same accounting as the other paths
-                self.worker_crashes.inc()
-            if span is not None:
-                span.child(
-                    "crash_recovery", attempt=attempt, timed_out=False
-                ).finish()
-            if attempt < self.retry_policy.max_attempts:
-                self._retry_async(request, key, out, attempt + 1, deadline, span)
-            else:
-                self._finish_async(
-                    request,
-                    key,
-                    out,
-                    error_response(
-                        request.request_id,
-                        request.kind,
-                        "worker process died while executing this request",
-                        code="WORKER_CRASHED",
-                    ),
-                    span=span,
-                )
-            return
-        except Exception as exc:
-            self._finish_async(
-                request,
-                key,
-                out,
-                error_response(
-                    request.request_id,
-                    request.kind,
-                    f"process drain failure: {type(exc).__name__}: {exc}",
-                ),
-                span=span,
-            )
-            return
-        # Watch before wiring the completion callback: the callback's
-        # _watch_pop must always find (and clear) the entry, even when
-        # the future completed before we got here.
-        self._watch(future, pool, deadline)
-        future.add_done_callback(
-            lambda done: self._async_done(
-                done, request, key, out, attempt, pool, deadline, span
-            )
-        )
-
-    def _retry_async(
-        self,
-        request: RealizationRequest,
-        key: Optional[RealizationRequest],
-        out: "Future",
-        attempt: int,
-        deadline: Optional[float],
-        span: Optional[Span] = None,
-    ) -> None:
-        """Resubmit after the policy's backoff (timer thread, so pool
-        callback threads never sleep)."""
-        with self._cache_lock:
-            self.retries.inc()
-        delay = self.retry_policy.delay_sec(attempt)
-        if delay <= 0:
-            self._submit_async(request, key, out, attempt, deadline, span)
-            return
-        timer = threading.Timer(
-            delay,
-            self._submit_async,
-            args=(request, key, out, attempt, deadline, span),
-        )
-        timer.daemon = True
-        timer.start()
-
-    def _async_done(
-        self, future, request, key, out, attempt, pool, deadline, span=None
-    ) -> None:
-        """Completion hook (runs on the pool's callback thread)."""
-        timed_out = self._watch_pop(future)
-        try:
-            wire = future.result()
-            response = RealizationResponse.from_wire(wire)
-            if span is not None:
-                columns = RealizationResponse.wire_spans(wire)
-                if columns is not None:
-                    span.adopt(decode_span_columns(columns))
-            if self.breaker is not None:
-                self.breaker.record_success()
-        except (BrokenExecutor, CancelledError):
-            # The dead worker broke the whole pool; mirror the batch
-            # drain's recovery — retries on a fresh pool under the
-            # policy, then a typed failure for the (deterministic)
-            # crasher.  CancelledError (a concurrent pool replacement
-            # cancels its pending futures) is a BaseException: without
-            # catching it here the response future would never resolve
-            # and a streaming client would hang forever.
-            with self._pool_lock:
-                closed = self._closed
-            if closed:
-                # close() cancelled the in-flight work; don't resurrect
-                # a fresh pool for it — and don't resubmit coalesced
-                # followers either (they would rebuild a pool that
-                # nothing ever shuts down again).
-                self._finish_async(
-                    request,
-                    key,
-                    out,
-                    error_response(
-                        request.request_id,
-                        request.kind,
-                        "executor closed while this request was in flight",
-                    ),
-                    resubmit_followers=False,
-                    span=span,
-                )
-                return
-            # Only flag the pool this future actually ran on (see
-            # _note_pool_break): several victims of one crash race
-            # through here, and a stale flag would tear down the healthy
-            # replacement pool (cancelling innocent retries into
-            # spurious WORKER_CRASHED responses).
-            self._note_pool_break(pool)
-            if span is not None:
-                span.child(
-                    "crash_recovery", attempt=attempt, timed_out=timed_out
-                ).finish()
-            if timed_out:
-                # The watchdog killed this job's worker: the culprit is
-                # *this* request — no retry (it would hang again), a
-                # typed timeout instead.  Co-victims arrive here with
-                # timed_out=False and retry normally.
-                response = error_response(
-                    request.request_id,
-                    request.kind,
-                    "worker exceeded its wall-clock bound and was killed "
-                    "by the watchdog",
-                    code="WORKER_TIMEOUT",
-                )
-            else:
-                with self._cache_lock:
-                    self.worker_crashes.inc()
-                if attempt < self.retry_policy.max_attempts:
-                    self._retry_async(
-                        request, key, out, attempt + 1, deadline, span
-                    )
-                    return
-                response = error_response(
-                    request.request_id,
-                    request.kind,
-                    "worker process died while executing this request",
-                    code="WORKER_CRASHED",
-                )
-        except Exception as exc:  # transport/pickling failure
-            response = error_response(
-                request.request_id,
-                request.kind,
-                f"process drain failure: {type(exc).__name__}: {exc}",
-            )
-        self._finish_async(request, key, out, response, span=span)
-
-    def _finish_async(
-        self,
-        request,
-        key,
-        out,
-        response,
-        resubmit_followers: bool = True,
-        span: Optional[Span] = None,
-    ) -> None:
-        """Resolve the leader, fan out to followers, maintain caches.
-
-        The follower pop, the counters and the cache store share one
-        critical section: a window between pop and store would let an
-        identical request slip past both the cache and the in-flight
-        table and re-execute from scratch.  Future resolution happens
-        outside the lock.
-        """
-        followers: List[Tuple[RealizationRequest, Future]] = []
-        if span is not None:
-            self._finish_span(span, response)
-        if response.verdict != "ERROR":
-            with self._cache_lock:
-                if key is not None:
-                    followers = self._in_flight_async.pop(key, [])
-                self.requests_handled.inc(1 + len(followers))
-                self.requests_by_kind.labels(kind=request.kind).inc(
-                    1 + len(followers)
-                )
-                self.coalesced_hits.inc(len(followers))
-                if key is not None:
-                    self._cache_store_locked(key, response)
-            _resolve_future(
-                out, dataclasses.replace(response, request_id=request.request_id)
-            )
-            for follower_request, follower_out in followers:
-                _resolve_future(
-                    follower_out,
-                    dataclasses.replace(
-                        response,
-                        request_id=follower_request.request_id,
-                        cached=True,
-                        elapsed_sec=0.0,
-                    ),
-                )
-        else:
-            with self._cache_lock:
-                if key is not None:
-                    followers = self._in_flight_async.pop(key, [])
-                # Followers resolved here (executor closed) still count
-                # as handled — stats must agree with the number of
-                # responses actually emitted; resubmitted followers are
-                # counted by their own completions instead.
-                emitted = 1 + (len(followers) if not resubmit_followers else 0)
-                self.requests_handled.inc(emitted)
-                self.requests_by_kind.labels(kind=request.kind).inc(emitted)
-                self._note_code_locked(response)
-            _resolve_future(
-                out, dataclasses.replace(response, request_id=request.request_id)
-            )
-            if not resubmit_followers:
-                # Executor closed: followers get the leader's envelope
-                # instead of an attempt that would rebuild the pool.
-                for follower_request, follower_out in followers:
-                    _resolve_future(
-                        follower_out,
-                        dataclasses.replace(
-                            response, request_id=follower_request.request_id
-                        ),
-                    )
-                return
-            # Failures are never shared (matching the batch drain): each
-            # coalesced follower gets its own independent attempt.  The
-            # retry runs with key=None — fully detached from the
-            # in-flight table, so an orphan completion can never pop
-            # (and steal) the follower list of a *newer* leader that
-            # registered the same key in the meantime.  The detached run
-            # skips the response cache; by determinism a follower of a
-            # failed leader almost always fails too, and errors are
-            # never cached anyway.
-            for follower_request, follower_out in followers:
-                self._submit_async(follower_request, None, follower_out)
-
-    # ---------------------------------------------------------------- #
-    # Batches                                                          #
-    # ---------------------------------------------------------------- #
-
     def run(self, requests: Iterable[RealizationRequest]) -> List[RealizationResponse]:
-        """Drain a batch, preserving request order in the responses."""
+        """Drain a batch, preserving request order in the responses.
+
+        ``processes`` mode admits the whole batch before dispatching its
+        leaders, so duplicates within a batch always coalesce, then
+        gathers the futures in order.  ``threads`` mode runs
+        :meth:`handle` on a thread per worker.
+        """
         batch = list(requests)
-        if len(batch) > 1:
-            if self.mode == "threads":
-                with ThreadPoolExecutor(max_workers=self.workers) as tpe:
-                    return list(tpe.map(self.handle, batch))
-            if self.mode == "processes":
-                return self._run_processes(batch)
+        if len(batch) > 1 and self.mode == "processes":
+            self._reopen()
+            outs: List[Future] = [Future() for _ in batch]
+            jobs = [self._admit(r, out) for r, out in zip(batch, outs)]
+            for job in jobs:
+                if job is not None:
+                    self._dispatch(job)
+            return [out.result() for out in outs]
+        if len(batch) > 1 and self.mode == "threads":
+            with ThreadPoolExecutor(max_workers=self.workers) as tpe:
+                return list(tpe.map(self.handle, batch))
         return [self.handle(request) for request in batch]
-
-    def _run_processes(
-        self, batch: List[RealizationRequest]
-    ) -> List[RealizationResponse]:
-        """Journal-aware batch drain: admitted records land before the
-        batch crosses the process boundary, completions after, and
-        duplicate idempotent submissions never reach the pool at all."""
-        if self.journal is None:
-            return self._run_processes_core(batch)
-        responses: List[Optional[RealizationResponse]] = [None] * len(batch)
-        fresh: List[RealizationRequest] = []
-        fresh_idx: List[int] = []
-        seqs: List[int] = []
-        for i, request in enumerate(batch):
-            replayed = self._journal_replay(request)
-            if replayed is not None:
-                responses[i] = replayed
-                continue
-            seqs.append(self._journal_admit(request))
-            fresh.append(request)
-            fresh_idx.append(i)
-        if fresh:
-            for i, seq, response in zip(
-                fresh_idx, seqs, self._run_processes_core(fresh)
-            ):
-                self.journal.append_completed(seq, response)
-                responses[i] = response
-        return responses  # type: ignore[return-value]
-
-    def _run_processes_core(
-        self, batch: List[RealizationRequest]
-    ) -> List[RealizationResponse]:
-        """Drain across the persistent worker processes.
-
-        The parent validates, serves cache hits, and coalesces identical
-        requests (one submission per distinct cache key); only misses
-        cross the process boundary.  Results re-enter the shared
-        response cache, so a process drain is field-identical to a
-        sequential one.
-        """
-        self._reopen()  # public entry re-opens after close()
-        responses: List[Optional[RealizationResponse]] = [None] * len(batch)
-        jobs: List[Tuple[List[int], RealizationRequest]] = []
-        job_keys: List[Optional[RealizationRequest]] = []
-        by_key: Dict[RealizationRequest, int] = {}
-        for i, request in enumerate(batch):
-            try:
-                request.validate()
-            except ServiceError as exc:
-                responses[i] = error_response(
-                    request.request_id, request.kind, str(exc)
-                )
-                with self._cache_lock:
-                    self.requests_handled.inc()
-                    self.requests_by_kind.labels(kind=request.kind).inc()
-                continue
-            key = request.cache_key() if self.cache_responses else None
-            if key is not None:
-                hit = self._cache_lookup(key, request)
-                if hit is not None:
-                    responses[i] = hit
-                    continue
-                j = by_key.get(key)
-                if j is not None:  # coalesce onto the in-flight submission
-                    jobs[j][0].append(i)
-                    continue
-                by_key[key] = len(jobs)
-            jobs.append(([i], request))
-            job_keys.append(key)
-
-        outcomes = self._submit_process_jobs(jobs)
-
-        retries: List[Tuple[List[int], RealizationRequest]] = []
-        for (indices, request), key, response in zip(jobs, job_keys, outcomes):
-            lead = indices[0]
-            responses[lead] = dataclasses.replace(
-                response, request_id=batch[lead].request_id
-            )
-            if response.verdict == "ERROR":
-                # Mirror the threaded single-flight semantics: an ERROR
-                # is never cached, so coalesced duplicates get their own
-                # real attempt instead of a copy of the failure.
-                with self._cache_lock:
-                    self.requests_handled.inc()
-                    self.requests_by_kind.labels(kind=request.kind).inc()
-                    self._note_code_locked(response)
-                for i in indices[1:]:
-                    retries.append(([i], batch[i]))
-                continue
-            with self._cache_lock:
-                self.requests_handled.inc(len(indices))
-                self.requests_by_kind.labels(kind=request.kind).inc(
-                    len(indices)
-                )
-                self.coalesced_hits.inc(len(indices) - 1)
-                if key is not None:
-                    self._cache_store_locked(key, response)
-            for i in indices[1:]:
-                responses[i] = dataclasses.replace(
-                    response,
-                    request_id=batch[i].request_id,
-                    cached=True,
-                    elapsed_sec=0.0,
-                )
-        if retries:
-            for (indices, request), response in zip(
-                retries, self._submit_process_jobs(retries)
-            ):
-                with self._cache_lock:
-                    self.requests_handled.inc()
-                    self.requests_by_kind.labels(kind=request.kind).inc()
-                    if self.cache_responses and response.verdict != "ERROR":
-                        self._cache_store_locked(request.cache_key(), response)
-                    self._note_code_locked(response)
-                responses[indices[0]] = dataclasses.replace(
-                    response, request_id=request.request_id
-                )
-        return responses  # type: ignore[return-value]
-
-    def _submit_process_jobs(
-        self, jobs: List[Tuple[List[int], RealizationRequest]]
-    ) -> List[RealizationResponse]:
-        """Submit jobs to the worker pool; recover from worker crashes.
-
-        A dead worker breaks the whole ``ProcessPoolExecutor``, failing
-        every in-flight future — so crash recovery retries the failed
-        jobs *serially* on a fresh pool: a deterministic crasher then
-        breaks only its own submission (and earns a typed
-        ``WORKER_CRASHED`` error), while its innocent co-victims
-        complete normally.
-        """
-        if not jobs:
-            return []
-        deadlines = [self._deadline_for(request) for _, request in jobs]
-        spans = [self._start_span(request) for _, request in jobs]
-        outcomes = self._run_process_jobs(jobs, deadlines, spans)
-        for span, outcome in zip(spans, outcomes):
-            if span is not None:
-                self._finish_span(span, outcome)
-        return outcomes
-
-    def _run_process_jobs(
-        self,
-        jobs: List[Tuple[List[int], RealizationRequest]],
-        deadlines: List[Optional[float]],
-        spans: List[Optional[Span]],
-    ) -> List[RealizationResponse]:
-        """The drain behind :meth:`_submit_process_jobs` (spans already
-        opened by the caller, which finishes them with the outcomes)."""
-        if self.breaker is not None and not self.breaker.allow():
-            # Breaker open: run the whole batch in-parent.  _execute is
-            # the same deterministic path the workers run, so responses
-            # stay field-identical — just slower (sequential).
-            with self._cache_lock:
-                self.degraded_handled.inc(len(jobs))
-            return [
-                self._execute(request, deadline, span=span)
-                for (_, request), deadline, span in zip(
-                    jobs, deadlines, spans
-                )
-            ]
-        try:
-            pool = self._ensure_process_pool()
-        except _ExecutorClosed:
-            return [
-                error_response(
-                    request.request_id,
-                    request.kind,
-                    "executor closed while this request was in flight",
-                )
-                for _, request in jobs
-            ]
-        futures: List[Optional[Future]] = []
-        for (_, request), deadline, span in zip(jobs, deadlines, spans):
-            if deadline is not None and time.monotonic() >= deadline:
-                futures.append(None)  # expired before dispatch
-                continue
-            future = pool.submit(
-                _process_worker_run_wire,
-                request.to_wire(
-                    trace=span.context() if span is not None else None
-                ),
-                deadline,
-            )
-            self._watch(future, pool, deadline)
-            futures.append(future)
-        outcomes: List[Optional[RealizationResponse]] = [None] * len(jobs)
-        retry: List[int] = []
-        for j, future in enumerate(futures):
-            request = jobs[j][1]
-            if future is None:
-                outcomes[j] = error_response(
-                    request.request_id,
-                    request.kind,
-                    "wall-clock deadline expired before dispatch",
-                    code="DEADLINE_EXCEEDED",
-                )
-                continue
-            try:
-                wire = future.result()
-                outcomes[j] = RealizationResponse.from_wire(wire)
-                if spans[j] is not None:
-                    columns = RealizationResponse.wire_spans(wire)
-                    if columns is not None:
-                        spans[j].adopt(decode_span_columns(columns))
-                self._watch_pop(future)
-                if self.breaker is not None:
-                    self.breaker.record_success()
-            except BrokenExecutor:
-                timed_out = self._watch_pop(future)
-                # Pool-identity guard (see _note_pool_break): never flag
-                # a replacement pool another thread already built.
-                self._note_pool_break(pool)
-                if spans[j] is not None:
-                    spans[j].child(
-                        "crash_recovery", attempt=1, timed_out=timed_out
-                    ).finish()
-                if timed_out:
-                    # Watchdog kill: this job is the culprit — typed
-                    # timeout, no retry (it would hang again).
-                    outcomes[j] = error_response(
-                        request.request_id,
-                        request.kind,
-                        "worker exceeded its wall-clock bound and was "
-                        "killed by the watchdog",
-                        code="WORKER_TIMEOUT",
-                    )
-                else:
-                    retry.append(j)
-            except Exception as exc:  # transport/pickling failure
-                self._watch_pop(future)
-                outcomes[j] = error_response(
-                    request.request_id,
-                    request.kind,
-                    f"process drain failure: {type(exc).__name__}: {exc}",
-                )
-        if retry:
-            with self._cache_lock:
-                self.worker_crashes.inc()
-        for j in retry:
-            outcomes[j] = self._retry_process_job(
-                jobs[j][1], deadlines[j], spans[j]
-            )
-        return outcomes  # type: ignore[return-value]
-
-    def _retry_process_job(
-        self,
-        request: RealizationRequest,
-        deadline: Optional[float],
-        span: Optional[Span] = None,
-    ) -> RealizationResponse:
-        """Serial crash recovery for one batch job, under the policy.
-
-        Attempts 2..max_attempts on fresh pools with the policy's
-        backoff between them; a deterministic crasher exhausts the
-        attempts and earns the typed ``WORKER_CRASHED``, a watchdog
-        victim stops early with ``WORKER_TIMEOUT``.  With tracing on,
-        each attempt is a ``crash_recovery`` child of ``span`` and the
-        retried worker's subtree lands under that attempt's span.
-        """
-        for attempt in range(2, self.retry_policy.max_attempts + 1):
-            with self._cache_lock:
-                self.retries.inc()
-            delay = self.retry_policy.delay_sec(attempt)
-            if delay > 0:
-                time.sleep(delay)
-            if deadline is not None and time.monotonic() >= deadline:
-                return error_response(
-                    request.request_id,
-                    request.kind,
-                    "wall-clock deadline expired during crash recovery",
-                    code="DEADLINE_EXCEEDED",
-                )
-            try:
-                pool = self._ensure_process_pool()
-            except _ExecutorClosed:
-                return error_response(
-                    request.request_id,
-                    request.kind,
-                    "executor closed while this request was in flight",
-                )
-            attempt_span = (
-                span.child("crash_recovery", attempt=attempt)
-                if span is not None
-                else None
-            )
-            future = pool.submit(
-                _process_worker_run_wire,
-                request.to_wire(
-                    trace=attempt_span.context()
-                    if attempt_span is not None
-                    else None
-                ),
-                deadline,
-            )
-            self._watch(future, pool, deadline)
-            try:
-                wire = future.result()
-                response = RealizationResponse.from_wire(wire)
-                if attempt_span is not None:
-                    columns = RealizationResponse.wire_spans(wire)
-                    if columns is not None:
-                        attempt_span.adopt(decode_span_columns(columns))
-                    attempt_span.finish(timed_out=False)
-                self._watch_pop(future)
-                if self.breaker is not None:
-                    self.breaker.record_success()
-                return response
-            except BrokenExecutor:
-                timed_out = self._watch_pop(future)
-                self._note_pool_break(pool)
-                if attempt_span is not None:
-                    attempt_span.finish(timed_out=timed_out)
-                if timed_out:
-                    return error_response(
-                        request.request_id,
-                        request.kind,
-                        "worker exceeded its wall-clock bound and was "
-                        "killed by the watchdog",
-                        code="WORKER_TIMEOUT",
-                    )
-                with self._cache_lock:
-                    self.worker_crashes.inc()
-            except Exception as exc:
-                self._watch_pop(future)
-                if attempt_span is not None:
-                    attempt_span.finish()
-                return error_response(
-                    request.request_id,
-                    request.kind,
-                    f"process drain failure: {type(exc).__name__}: {exc}",
-                )
-        return error_response(
-            request.request_id,
-            request.kind,
-            "worker process died while executing this request",
-            code="WORKER_CRASHED",
-        )
 
     def stats(self) -> Dict[str, Any]:
         """The counters — live, or the frozen close-time snapshot.
@@ -2118,9 +1547,7 @@ class BatchExecutor:
             "retries": self.retries.value,
             "deadline_exceeded": self.deadline_exceeded.value,
             "degraded_handled": self.degraded_handled.value,
-            "breaker": self.breaker.snapshot()
-            if self.breaker is not None
-            else None,
+            "breaker": self.breaker.snapshot(),
             "scenario_cache_hits": self.registry.cache_hits - self._registry_hits_base,
             "scenario_cache_misses": (
                 self.registry.cache_misses - self._registry_misses_base
@@ -2260,7 +1687,8 @@ def serve(
     executor: Optional[BatchExecutor] = None,
     window: Optional[int] = None,
 ) -> Tuple[int, int]:
-    """Long-lived JSONL loop: one request per line in, one response out.
+    """Long-lived streaming JSONL loop: one request per line in, one
+    response out, in input order.
 
     Malformed lines produce ``verdict="ERROR"`` responses (the stream
     keeps serving).  Returns ``(handled, errors)`` — the number of
@@ -2270,54 +1698,21 @@ def serve(
     front ends can propagate a nonzero exit code like ``batch`` does.
     The loop ends at EOF.
 
-    With a ``mode="processes"`` executor the loop *streams*: a reader
-    thread parses lines and submits each request to the worker pool as
-    it arrives (:meth:`BatchExecutor.submit`), while the calling thread
-    emits responses in input order as their futures complete.  A client
-    that writes one line and waits sees its response without closing
-    stdin; a client that pipelines N lines gets the pool's parallelism.
-    ``window`` bounds how far the reader may run ahead of the writer
-    (default :data:`SERVE_STREAM_WINDOW`, validated >= 1 — the same
-    knob the socket front end rejects on).  Other modes handle each
-    line synchronously, as before.
+    A reader thread parses lines and submits each request as it arrives
+    (the executor's non-reopening ``_submit``), while the calling thread
+    emits each response as soon as its future completes *and* every
+    earlier response has been written.  In ``processes`` mode the
+    requests run on the worker pool, so a client that pipelines N lines
+    gets the pool's parallelism; the inline modes execute on the reader
+    thread.  Either way a client that writes one line and waits sees its
+    response without closing stdin.  ``window`` bounds how far the
+    reader may run ahead of the writer (default
+    :data:`SERVE_STREAM_WINDOW`, validated >= 1 — the same knob the
+    socket front end rejects on).
     """
     window = validate_window(window)
     if executor is None:
         executor = BatchExecutor(pool=NetworkPool())
-    if executor.mode == "processes":
-        return _serve_streaming(in_stream, out_stream, executor, window)
-    handled = errors = 0
-    for line in in_stream:
-        line = line.strip()
-        if not line:
-            continue
-        parsed = parse_request_line(line)
-        if isinstance(parsed, RealizationResponse):
-            response = parsed
-        else:
-            response = executor.handle(parsed)
-        out_stream.write(json.dumps(response.to_dict()) + "\n")
-        out_stream.flush()
-        handled += 1
-        if response.verdict == "ERROR":
-            errors += 1
-    return handled, errors
-
-
-def _serve_streaming(
-    in_stream: io.TextIOBase,
-    out_stream: io.TextIOBase,
-    executor: BatchExecutor,
-    window: int,
-) -> Tuple[int, int]:
-    """The incremental drain behind ``serve --mode processes``.
-
-    Emission order is input order (deterministic per request id): a
-    response is written as soon as its future completes *and* every
-    earlier response has been written.  The bounded queue gives
-    backpressure — the reader stops ``window`` requests ahead of the
-    writer.
-    """
     queue: "Queue" = Queue(maxsize=window)
     reader_failure: List[BaseException] = []
     stop = threading.Event()
@@ -2334,8 +1729,6 @@ def _serve_streaming(
                 if isinstance(parsed, RealizationResponse):
                     queue.put(parsed)  # parse error: already a response
                 else:
-                    # the non-reopening entry: a racing close() must
-                    # resolve this future, not resurrect the pool
                     queue.put(executor._submit(parsed, Future()))
         except BaseException as exc:  # re-raised on the caller's thread
             reader_failure.append(exc)
@@ -2372,9 +1765,9 @@ def _serve_streaming(
         raise
     reader.join()
     if reader_failure:
-        # A dying reader must not masquerade as clean EOF — the
-        # synchronous modes propagate stream failures to the caller, so
-        # the streaming mode does too (after emitting what completed).
+        # A dying reader must not masquerade as clean EOF: stream
+        # failures propagate to the caller (after emitting what
+        # completed).
         raise reader_failure[0]
     return handled, errors
 

@@ -50,7 +50,7 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 ACTIONS = (

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.service.faults import hash_unit
 

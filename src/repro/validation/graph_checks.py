@@ -6,7 +6,7 @@ graphs, used as the final arbiter in tests and benches.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import networkx as nx
 from networkx.algorithms.connectivity import local_edge_connectivity

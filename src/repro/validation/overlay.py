@@ -8,7 +8,7 @@ what nodes actually recorded — not what the orchestrator wishes they had.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List, Tuple
 
 import networkx as nx
 

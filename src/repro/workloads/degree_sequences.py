@@ -10,7 +10,7 @@ verdict.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from repro.sequential.erdos_gallai import is_graphic
 

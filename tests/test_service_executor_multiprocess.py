@@ -348,3 +348,143 @@ class TestModeSurface:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert [r["request_id"] for r in rows] == ["p1", "p2"]
         assert all(r["verdict"] == "REALIZED" for r in rows)
+
+
+class TestOneLifecycle:
+    """``run()``, ``submit()`` and ``handle()`` share one request lifecycle,
+    so crash recovery, counters, latency and spans agree across them."""
+
+    @pytest.fixture
+    def co_victim_plan(self, monkeypatch):
+        plan = FaultPlan([FaultRule("crash", ("boom",)),
+                          FaultRule("slow", ("ok",), delay_ms=800)])
+        monkeypatch.setenv(faults.ENV_VAR, plan.to_json())
+        faults.clear()
+        yield plan
+        faults.clear()
+
+    @staticmethod
+    def _executor(**kw):
+        return BatchExecutor(pool=NetworkPool(), registry=default_registry(),
+                             cache_responses=False, mode="processes",
+                             workers=2, **kw)
+
+    def test_concurrent_submit_co_victim_recovers_like_run(self, co_victim_plan):
+        """A crasher that breaks the pool under an innocent in-flight
+        request costs the innocent one nothing: both entry points retry
+        the victims serially and count the same crashes and retries."""
+        ok, boom = req(seed=1, request_id="ok"), req(seed=99, request_id="boom")
+        with self._executor() as executor:
+            futures = [executor.submit(ok), executor.submit(boom)]
+            submitted = {f.result(timeout=120).request_id: f.result()
+                         for f in futures}
+            submit_stats = executor.stats()
+        with self._executor() as executor:
+            batched = {r.request_id: r for r in executor.run([ok, boom])}
+            run_stats = executor.stats()
+        for by_id in (submitted, batched):
+            assert by_id["ok"].verdict == "REALIZED", by_id["ok"]
+            assert by_id["boom"].error_code == "WORKER_CRASHED", by_id["boom"]
+        for counter in ("worker_crashes", "retries"):
+            assert submit_stats[counter] == run_stats[counter], counter
+        # One count per pool break: the first crash and boom's retry.
+        assert run_stats["worker_crashes"] == 2
+
+    def test_process_batch_records_latency_per_request(self):
+        batch = [req(seed=i, request_id=f"l{i}") for i in range(5)]
+        with self._executor() as executor:
+            executor.run(batch)
+            stats = executor.stats()
+        assert stats["latency"]["count"] == 5
+        assert stats["latency_stages"]["execution"]["count"] == 5
+        assert stats["latency_stages"]["queue_wait"]["count"] == 5
+
+    def test_traced_process_batch_one_root_span_per_request(self):
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        with BatchExecutor(pool=NetworkPool(), registry=default_registry(),
+                           mode="processes", workers=2,
+                           tracer=tracer) as executor:
+            executor.run([req(seed=3, request_id="warm")])
+            out = executor.run([
+                req(seed=3, request_id="hit"),
+                RealizationRequest(kind="nope", degrees=(2, 2),
+                                   request_id="bad"),
+                req(seed=4, request_id="fresh"),
+                req(seed=4, request_id="twin"),
+            ])
+        assert out[0].cached and out[1].verdict == "ERROR"
+        roots = tracer.drain()
+        assert sorted(r.tags["request_id"] for r in roots) == \
+            ["bad", "fresh", "hit", "twin", "warm"]
+        assert all(r.name == "request" for r in roots)
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+def test_worker_sigterm_does_not_reach_parent_loop():
+    """A broken pool SIGTERMs its surviving workers.  A forked worker must
+    not relay that signal through the inherited wakeup fd of the
+    parent's asyncio loop, where the socket server would take it for its
+    own SIGTERM and start draining."""
+    import asyncio
+    import signal
+    import time
+    from concurrent.futures import ProcessPoolExecutor
+
+    seen = []
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        loop.add_signal_handler(signal.SIGTERM, lambda: seen.append("SIGTERM"))
+        pool = ProcessPoolExecutor(
+            max_workers=2, mp_context=executor_module.fork_context(),
+            initializer=executor_module._process_worker_init,
+            initargs=(False, True))
+        try:
+            pool.submit(time.sleep, 0.01).result(timeout=60)
+            workers = list(pool._processes.values())
+            for proc in workers:
+                proc.terminate()
+            for proc in workers:
+                proc.join(timeout=30)
+            await asyncio.sleep(0.2)
+            assert not any(proc.is_alive() for proc in workers)
+        finally:
+            loop.remove_signal_handler(signal.SIGTERM)
+            pool.shutdown(wait=False)
+
+    asyncio.run(scenario())
+    assert seen == []
+
+
+def test_threaded_follower_table_stress():
+    """More threads than cores with a tiny switch interval: every request
+    is answered once, each distinct key executes exactly once, and no
+    follower is lost (a lost follower would hang past the join bound)."""
+    import sys
+
+    keys = 4
+    batch = [req(seed=40 + i % keys, n=12, request_id=f"s{i}") for i in range(48)]
+    executor = BatchExecutor(pool=NetworkPool(), registry=default_registry(),
+                             mode="threads", workers=8)
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: result.append(executor.run(batch)),
+                                  daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive() and result
+    out = result[0]
+    stats = executor.stats()
+    assert [r.request_id for r in out] == [r.request_id for r in batch]
+    assert sum(1 for r in out if not r.cached) == keys
+    assert stats["requests_handled"] == len(batch)
+    assert stats["coalesced_hits"] + stats["response_cache_hits"] == len(batch) - keys
+    assert stats["latency"]["count"] == len(batch)
+    for i in range(keys):
+        assert len({r.fingerprint() for r in out[i::keys]}) == 1
